@@ -1,29 +1,27 @@
-// DSM hot-path bench: wall-clock page-fetch and lock-grant latency, legacy
-// eager-copy pipeline vs the zero-copy segment pool (CoW twins, direct
-// serve encode, span-decoded installs and diffs).
+// DSM hot-path bench: the zero-copy segment pool's remote-fetch path (CoW
+// twins, direct serve encode, span-decoded installs and diffs), gated on
+// exact protocol counts rather than on wall-clock ratios.
 //
 //   dsm_hotpath [--pages=32] [--page-kb=64] [--epochs=48] [--locks=4]
-//               [--reps=3] [--out=PATH] [--baseline=PATH] [--tolerance=0.15]
-//               [--require-zerocopy-win]
-//
-// Each mode runs --reps times interleaved and the median run (by fetch mean)
-// is reported, squeezing scheduler noise out of the gated ratios.
+//               [--reps=3] [--out=PATH] [--baseline=PATH]
 //
 // A 2-node cluster ping-pongs ownership: the home dirties every page, the
 // remote node refetches and rewrites them all (fetch + twin + diff per page
-// per epoch) and cycles a few managed locks. The reported figures are the
-// p50 of the real `dsm.fetch_ns` / `dsm.lock_grant_ns` histograms on the
-// remote node — actual nanoseconds through serve/install and grant, not
-// modeled time.
+// per epoch) and cycles a few managed locks.
 //
-// Absolute nanoseconds vary across machines, so the regression gate compares
-// the RATIO zerocopy/legacy for each metric against the committed baseline
-// (--baseline, --tolerance) — machine-independent by construction.
-// --require-zerocopy-win additionally fails the run unless the zero-copy
-// fetch p50 beats legacy outright (ratio < 1).
+// The gate is deterministic. Every rep must show, on the remote node
+// (rank 1): page_fetches == pages x epochs, twins_shared == page_fetches
+// (every write fault aliased the home's frame instead of copying it),
+// twins_created == 0, and zero retries and dsm.invariant.violations on
+// both nodes. With --baseline those counts must also equal the committed
+// ones exactly, for the same pages/page-kb/epochs/locks shape.
+//
+// Fetch and lock-grant latency (the real `dsm.fetch_ns` /
+// `dsm.lock_grant_ns` histograms on rank 1, from the median rep by fetch
+// mean) are reported for information only: wall-clock nanoseconds are
+// machine-local and never gated.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -37,34 +35,51 @@
 namespace parade::dsm {
 namespace {
 
+/// The run's --pages/--page-kb/--epochs/--locks; a baseline applies only
+/// to the shape it was recorded with.
+struct Shape {
+  int pages = 0;
+  long page_kb = 0;
+  int epochs = 0;
+  int locks = 0;
+};
+
+/// The gated counts. Fetch/twin counts are rank 1's; retries and
+/// violations are summed over both nodes.
+struct HotpathCounts {
+  std::int64_t page_fetches = 0;
+  std::int64_t twins_shared = 0;
+  std::int64_t twins_created = 0;
+  std::int64_t retries = 0;
+  std::int64_t invariant_violations = 0;
+};
+
 struct HotpathRow {
-  std::string mode;  // "legacy" or "zerocopy"
+  HotpathCounts counts;
   double fetch_p50_ns = 0.0;
   double fetch_p95_ns = 0.0;
   double fetch_mean_ns = 0.0;
   double lock_grant_p50_ns = 0.0;
-  std::int64_t fetches = 0;
-  std::int64_t twins_shared = 0;
 };
 
 /// One measured cluster run. Resets the per-node registry slices first so
-/// consecutive modes in the same process do not pollute each other's
-/// histograms.
-HotpathRow run_mode(bool zero_copy, int pages, std::size_t page_bytes,
-                    int epochs, int locks) {
+/// consecutive reps in the same process do not pollute each other's
+/// counters and histograms.
+HotpathRow run_once(const Shape& shape, int epochs) {
   auto& reg = obs::Registry::instance();
   for (NodeId n = 0; n < 2; ++n) reg.reset_node(n);
 
+  const auto page_bytes = static_cast<std::size_t>(shape.page_kb) * 1024;
   const std::size_t words_per_page = page_bytes / sizeof(std::uint64_t);
+  const int pages = shape.pages;
   DsmConfig config;
   config.pool_bytes = static_cast<std::size_t>(pages + 2) * page_bytes;
   config.page_bytes = page_bytes;
-  config.zero_copy = zero_copy;
   // Keep every page homed at node 0 so each epoch's refetch crosses the
   // fabric; migration would collapse the traffic after one round.
   config.home_migration = false;
 
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   cluster.run([&](NodeId rank) {
     DsmNode& node = cluster.node(rank);
     auto* data = static_cast<std::uint64_t*>(node.shmalloc(
@@ -83,13 +98,13 @@ HotpathRow run_mode(bool zero_copy, int pages, std::size_t page_bytes,
       node.barrier();
       if (rank == 1) {
         // The measured hot path: fault (fetch+install), then write (twin
-        // attach) so the flush exercises the diff pipeline too.
+        // attach) so the flush exercises the diff path too.
         std::uint64_t sum = 0;
         for (int p = 0; p < pages; ++p) {
           sum += data[static_cast<std::size_t>(p) * words_per_page];
           data[static_cast<std::size_t>(p) * words_per_page + 1] = sum;
         }
-        for (int l = 0; l < locks; ++l) {
+        for (int l = 0; l < shape.locks; ++l) {
           node.lock_acquire(l);
           node.lock_release(l);
         }
@@ -99,7 +114,6 @@ HotpathRow run_mode(bool zero_copy, int pages, std::size_t page_bytes,
   });
 
   HotpathRow row;
-  row.mode = zero_copy ? "zerocopy" : "legacy";
   const auto& fetch = reg.hist(1, "dsm.fetch_ns");
   row.fetch_p50_ns = static_cast<double>(fetch.percentile_ns(0.50));
   row.fetch_p95_ns = static_cast<double>(fetch.percentile_ns(0.95));
@@ -111,54 +125,82 @@ HotpathRow run_mode(bool zero_copy, int pages, std::size_t page_bytes,
   // Request-to-grant latency is recorded at the acquirer (rank 1).
   row.lock_grant_p50_ns = static_cast<double>(
       reg.hist(1, "dsm.lock_grant_ns").percentile_ns(0.50));
-  row.fetches = cluster.node(1).stats().snapshot().page_fetches;
-  row.twins_shared = cluster.node(1).stats().snapshot().twins_shared;
+  const DsmStatsSnapshot remote = cluster.node(1).stats().snapshot();
+  row.counts.page_fetches = remote.page_fetches;
+  row.counts.twins_shared = remote.twins_shared;
+  row.counts.twins_created = remote.twins_created;
+  for (NodeId n = 0; n < 2; ++n) {
+    row.counts.retries += cluster.node(n).stats().snapshot().retries;
+    row.counts.invariant_violations +=
+        reg.counter(n, "dsm.invariant.violations").value();
+  }
   cluster.shutdown();
   return row;
 }
 
-bool write_json(const std::string& path, int pages, long page_kb,
-                int epochs, const std::vector<HotpathRow>& rows,
-                double fetch_ratio, double fetch_mean_ratio,
-                double grant_ratio) {
+/// The zero-copy signature every rep must show; prints each failed identity.
+int check_signature(const HotpathCounts& c, const Shape& shape, int rep) {
+  const std::int64_t expected_fetches =
+      static_cast<std::int64_t>(shape.pages) * shape.epochs;
+  const struct {
+    const char* what;
+    bool ok;
+  } checks[] = {
+      {"page_fetches == pages x epochs", c.page_fetches == expected_fetches},
+      {"twins_shared == page_fetches", c.twins_shared == c.page_fetches},
+      {"twins_created == 0", c.twins_created == 0},
+      {"retries == 0", c.retries == 0},
+      {"dsm.invariant.violations == 0", c.invariant_violations == 0},
+  };
+  int failures = 0;
+  for (const auto& check : checks) {
+    if (check.ok) continue;
+    std::fprintf(stderr, "dsm_hotpath: rep %d violates %s\n", rep,
+                 check.what);
+    ++failures;
+  }
+  return failures;
+}
+
+bool write_json(const std::string& path, const Shape& shape,
+                const HotpathRow& row) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("bench");
   w.value("dsm_hotpath");
   w.key("pages");
-  w.value(static_cast<std::int64_t>(pages));
+  w.value(static_cast<std::int64_t>(shape.pages));
   w.key("page_kb");
-  w.value(static_cast<std::int64_t>(page_kb));
+  w.value(static_cast<std::int64_t>(shape.page_kb));
   w.key("epochs");
-  w.value(static_cast<std::int64_t>(epochs));
-  w.key("rows");
-  w.begin_array();
-  for (const HotpathRow& row : rows) {
-    w.begin_object();
-    w.key("mode");
-    w.value(row.mode);
-    w.key("fetch_p50_ns");
-    w.value(row.fetch_p50_ns);
-    w.key("fetch_mean_ns");
-    w.value(row.fetch_mean_ns);
-    w.key("fetch_p95_ns");
-    w.value(row.fetch_p95_ns);
-    w.key("lock_grant_p50_ns");
-    w.value(row.lock_grant_p50_ns);
-    w.key("fetches");
-    w.value(row.fetches);
-    w.key("twins_shared");
-    w.value(row.twins_shared);
-    w.end_object();
-  }
-  w.end_array();
-  // The machine-independent gate inputs: zerocopy p50 / legacy p50.
-  w.key("fetch_p50_ratio");
-  w.value(fetch_ratio);
-  w.key("fetch_mean_ratio");
-  w.value(fetch_mean_ratio);
-  w.key("lock_grant_p50_ratio");
-  w.value(grant_ratio);
+  w.value(static_cast<std::int64_t>(shape.epochs));
+  w.key("locks");
+  w.value(static_cast<std::int64_t>(shape.locks));
+  w.key("counts");
+  w.begin_object();
+  w.key("page_fetches");
+  w.value(row.counts.page_fetches);
+  w.key("twins_shared");
+  w.value(row.counts.twins_shared);
+  w.key("twins_created");
+  w.value(row.counts.twins_created);
+  w.key("retries");
+  w.value(row.counts.retries);
+  w.key("invariant_violations");
+  w.value(row.counts.invariant_violations);
+  w.end_object();
+  // Information only (machine-local wall clock, never gated).
+  w.key("latency_ns");
+  w.begin_object();
+  w.key("fetch_p50");
+  w.value(row.fetch_p50_ns);
+  w.key("fetch_mean");
+  w.value(row.fetch_mean_ns);
+  w.key("fetch_p95");
+  w.value(row.fetch_p95_ns);
+  w.key("lock_grant_p50");
+  w.value(row.lock_grant_p50_ns);
+  w.end_object();
   w.end_object();
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
@@ -166,12 +208,10 @@ bool write_json(const std::string& path, int pages, long page_kb,
   return static_cast<bool>(out);
 }
 
-/// Gate on the committed ratios: a fresh ratio may not exceed the baseline
-/// ratio by more than `tolerance` (absolute nanoseconds are machine-local
-/// and never compared).
-int check_baseline(const std::string& path, double fetch_ratio,
-                   double fetch_mean_ratio, double grant_ratio,
-                   double tolerance) {
+/// Exact gate on the committed counts: the baseline must describe the same
+/// shape, and every count must match it.
+int check_baseline(const std::string& path, const Shape& shape,
+                   const HotpathCounts& fresh) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "dsm_hotpath: cannot open baseline %s\n",
@@ -182,62 +222,46 @@ int check_baseline(const std::string& path, double fetch_ratio,
   text << in.rdbuf();
   auto parsed = obs::parse_json(text.str());
   if (!parsed.is_ok() || !parsed.value().is_object() ||
-      !parsed.value().has("fetch_p50_ratio")) {
+      !parsed.value().has("counts")) {
     std::fprintf(stderr, "dsm_hotpath: baseline %s is not a hotpath table\n",
                  path.c_str());
     return 1;
   }
-  int regressions = 0;
+  const obs::JsonValue& base = parsed.value();
+  const auto number = [](const obs::JsonValue& obj, const char* key) {
+    return obj.has(key) ? obj.at(key).as_int() : std::int64_t{-1};
+  };
+  if (number(base, "pages") != shape.pages ||
+      number(base, "page_kb") != shape.page_kb ||
+      number(base, "epochs") != shape.epochs ||
+      number(base, "locks") != shape.locks) {
+    std::fprintf(stderr,
+                 "dsm_hotpath: baseline %s was recorded for a different "
+                 "--pages/--page-kb/--epochs/--locks shape\n",
+                 path.c_str());
+    return 1;
+  }
+  const obs::JsonValue& counts = base.at("counts");
   const struct {
     const char* key;
-    double fresh;
+    std::int64_t fresh;
   } gates[] = {
-      // Only the fetch path is gated: that is what the zero-copy pipeline
-      // changes. The lock-grant ratio is recorded for context but hovers
-      // around 1.0 with scheduler noise either side — gating it would flake.
-      {"fetch_p50_ratio", fetch_ratio},
-      {"fetch_mean_ratio", fetch_mean_ratio},
+      {"page_fetches", fresh.page_fetches},
+      {"twins_shared", fresh.twins_shared},
+      {"twins_created", fresh.twins_created},
+      {"retries", fresh.retries},
+      {"invariant_violations", fresh.invariant_violations},
   };
+  int mismatches = 0;
   for (const auto& gate : gates) {
-    if (!parsed.value().has(gate.key)) continue;
-    const double base = parsed.value().at(gate.key).number;
-    const double budget = base + tolerance;
-    const bool regressed = gate.fresh > budget;
-    std::printf("gate %-22s %8.4f vs baseline %8.4f (budget %8.4f) %s\n",
-                gate.key, gate.fresh, base, budget,
-                regressed ? "REGRESSED" : "ok");
-    if (regressed) ++regressions;
+    const std::int64_t committed = number(counts, gate.key);
+    const bool ok = gate.fresh == committed;
+    std::printf("gate %-22s %8lld vs baseline %8lld %s\n", gate.key,
+                static_cast<long long>(gate.fresh),
+                static_cast<long long>(committed), ok ? "ok" : "MISMATCH");
+    if (!ok) ++mismatches;
   }
-  return regressions;
-}
-
-/// Median run by fetch mean: the representative row reported in the JSON.
-HotpathRow median_row(std::vector<HotpathRow> runs) {
-  std::sort(runs.begin(), runs.end(),
-            [](const HotpathRow& a, const HotpathRow& b) {
-              return a.fetch_mean_ns < b.fetch_mean_ns;
-            });
-  return runs[runs.size() / 2];
-}
-
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
-/// Gated ratios are the median of the per-rep pairwise ratios, not the ratio
-/// of median rows: each rep runs legacy and zerocopy back to back, so machine
-/// drift (a noisy neighbour, frequency scaling) hits both sides of one pair
-/// and cancels in its ratio.
-double median_pair_ratio(const std::vector<HotpathRow>& legacy,
-                         const std::vector<HotpathRow>& zerocopy,
-                         double HotpathRow::* metric) {
-  std::vector<double> ratios;
-  for (std::size_t r = 0; r < legacy.size(); ++r) {
-    const double base = legacy[r].*metric;
-    ratios.push_back(base > 0 ? zerocopy[r].*metric / base : 1.0);
-  }
-  return median(std::move(ratios));
+  return mismatches;
 }
 
 }  // namespace
@@ -246,88 +270,62 @@ double median_pair_ratio(const std::vector<HotpathRow>& legacy,
 int main(int argc, char** argv) {
   using namespace parade;
   using namespace parade::dsm;
-  const int pages =
-      static_cast<int>(bench::arg_long(argc, argv, "pages", 32));
-  // Big pages by default: the copies the zero-copy pipeline removes scale
-  // with the page size, and the log2 histogram needs the delta to be a
-  // meaningful fraction of the fetch to resolve it.
-  const long page_kb = bench::arg_long(argc, argv, "page-kb", 64);
-  const int epochs =
-      static_cast<int>(bench::arg_long(argc, argv, "epochs", 48));
-  const int locks = static_cast<int>(bench::arg_long(argc, argv, "locks", 4));
+  Shape shape;
+  shape.pages = static_cast<int>(bench::arg_long(argc, argv, "pages", 32));
+  // Big pages by default: the copies the zero-copy path avoids scale with
+  // the page size, so the informational latencies show them clearly.
+  shape.page_kb = bench::arg_long(argc, argv, "page-kb", 64);
+  shape.epochs = static_cast<int>(bench::arg_long(argc, argv, "epochs", 48));
+  shape.locks = static_cast<int>(bench::arg_long(argc, argv, "locks", 4));
   const int reps = static_cast<int>(bench::arg_long(argc, argv, "reps", 3));
   const std::string out_path = bench::arg_string(argc, argv, "out", "");
   const std::string baseline = bench::arg_string(argc, argv, "baseline", "");
-  const double tolerance =
-      std::atof(bench::arg_string(argc, argv, "tolerance", "0.15").c_str());
-  bool require_zerocopy_win = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--require-zerocopy-win") {
-      require_zerocopy_win = true;
-    }
-  }
-  if (pages < 1 || page_kb < 4 || page_kb % 4 != 0 || epochs < 1 ||
-      locks < 0 || locks > 256 || reps < 1) {
-    std::fprintf(
-        stderr,
-        "usage: dsm_hotpath [--pages=32] [--page-kb=64] [--epochs=48] "
-        "[--locks=4] [--reps=3] [--out=PATH] [--baseline=PATH] "
-        "[--tolerance=0.15] [--require-zerocopy-win]\n");
+  if (shape.pages < 1 || shape.page_kb < 4 || shape.page_kb % 4 != 0 ||
+      shape.epochs < 1 || shape.locks < 0 || shape.locks > 256 || reps < 1) {
+    std::fprintf(stderr,
+                 "usage: dsm_hotpath [--pages=32] [--page-kb=64] "
+                 "[--epochs=48] [--locks=4] [--reps=3] [--out=PATH] "
+                 "[--baseline=PATH]\n");
     return 2;
   }
-  const auto page_bytes = static_cast<std::size_t>(page_kb) * 1024;
 
-  // Warm-up pass absorbs first-run effects (page-cache, lazy allocations)
-  // shared by both measured modes.
-  (void)run_mode(true, pages, page_bytes, 2, locks);
+  // Warm-up pass absorbs first-run effects (page-cache, lazy allocations).
+  (void)run_once(shape, 2);
 
-  std::vector<HotpathRow> legacy_runs, zerocopy_runs;
+  int failures = 0;
+  std::vector<HotpathRow> runs;
   for (int r = 0; r < reps; ++r) {
-    legacy_runs.push_back(run_mode(false, pages, page_bytes, epochs, locks));
-    zerocopy_runs.push_back(run_mode(true, pages, page_bytes, epochs, locks));
+    runs.push_back(run_once(shape, shape.epochs));
+    failures += check_signature(runs.back().counts, shape, r);
   }
-  const double fetch_ratio =
-      median_pair_ratio(legacy_runs, zerocopy_runs, &HotpathRow::fetch_p50_ns);
-  const double fetch_mean_ratio = median_pair_ratio(
-      legacy_runs, zerocopy_runs, &HotpathRow::fetch_mean_ns);
-  const double grant_ratio = median_pair_ratio(
-      legacy_runs, zerocopy_runs, &HotpathRow::lock_grant_p50_ns);
-  const HotpathRow legacy = median_row(std::move(legacy_runs));
-  const HotpathRow zerocopy = median_row(std::move(zerocopy_runs));
+  // Report the median rep by fetch mean.
+  std::sort(runs.begin(), runs.end(),
+            [](const HotpathRow& a, const HotpathRow& b) {
+              return a.fetch_mean_ns < b.fetch_mean_ns;
+            });
+  const HotpathRow& row = runs[runs.size() / 2];
 
   std::printf(
-      "DSM hot path, 2 nodes, %d x %ldKB pages, %d epochs (wall clock)\n",
-      pages, page_kb, epochs);
-  for (const HotpathRow* row : {&legacy, &zerocopy}) {
-    std::printf(
-        "  %-8s fetch p50 %9.0f ns  mean %9.0f ns  p95 %9.0f ns  "
-        "grant p50 %9.0f ns  (%lld fetches, %lld shared twins)\n",
-        row->mode.c_str(), row->fetch_p50_ns, row->fetch_mean_ns,
-        row->fetch_p95_ns, row->lock_grant_p50_ns,
-        static_cast<long long>(row->fetches),
-        static_cast<long long>(row->twins_shared));
-  }
-  std::printf("  fetch p50  ratio zerocopy/legacy: %.4f\n", fetch_ratio);
-  std::printf("  fetch mean ratio zerocopy/legacy: %.4f\n", fetch_mean_ratio);
-  std::printf("  grant p50  ratio zerocopy/legacy: %.4f\n", grant_ratio);
+      "DSM hot path, 2 nodes, %d x %ldKB pages, %d epochs (wall clock)\n"
+      "  rank 1: %lld fetches, %lld shared twins, %lld copied twins; "
+      "%lld retries, %lld invariant violations\n"
+      "  info: fetch p50 %.0f ns  mean %.0f ns  p95 %.0f ns  "
+      "grant p50 %.0f ns\n",
+      shape.pages, shape.page_kb, shape.epochs,
+      static_cast<long long>(row.counts.page_fetches),
+      static_cast<long long>(row.counts.twins_shared),
+      static_cast<long long>(row.counts.twins_created),
+      static_cast<long long>(row.counts.retries),
+      static_cast<long long>(row.counts.invariant_violations),
+      row.fetch_p50_ns, row.fetch_mean_ns, row.fetch_p95_ns,
+      row.lock_grant_p50_ns);
 
-  if (!out_path.empty() &&
-      !write_json(out_path, pages, page_kb, epochs, {legacy, zerocopy},
-                  fetch_ratio, fetch_mean_ratio, grant_ratio)) {
+  if (!out_path.empty() && !write_json(out_path, shape, row)) {
     std::fprintf(stderr, "dsm_hotpath: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  int failures = 0;
   if (!baseline.empty()) {
-    failures += check_baseline(baseline, fetch_ratio, fetch_mean_ratio,
-                               grant_ratio, tolerance);
-  }
-  if (require_zerocopy_win && fetch_ratio >= 1.0) {
-    std::fprintf(stderr,
-                 "dsm_hotpath: zero-copy fetch p50 did not beat legacy "
-                 "(ratio %.4f)\n",
-                 fetch_ratio);
-    ++failures;
+    failures += check_baseline(baseline, shape, row.counts);
   }
   return failures == 0 ? 0 : 1;
 }

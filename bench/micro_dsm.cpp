@@ -87,7 +87,7 @@ BENCHMARK(BM_ProtectionFlip);
 void BM_RemotePageFetch(benchmark::State& state) {
   DsmConfig config;
   config.pool_bytes = 8 << 20;
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   auto* data = static_cast<std::uint8_t*>(cluster.node(0).shmalloc(4 << 20));
   (void)cluster.node(1).shmalloc(4 << 20);  // keep allocators in lockstep
   // Node 0 (home/master) has the data; node 1 faults pages in, then both

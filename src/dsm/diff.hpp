@@ -18,11 +18,13 @@ namespace parade::dsm {
 
 /// Encodes the byte runs where `current` differs from `twin`.
 /// Both buffers are `page_bytes` long; `page_bytes` must be a multiple of 8.
+/// The runtime streams diffs with append_diff; this vector form is the
+/// reference the tests compare it against.
 std::vector<std::uint8_t> encode_diff(const std::uint8_t* current,
                                       const std::uint8_t* twin,
                                       std::size_t page_bytes);
 
-/// Zero-copy variant: streams the runs straight into `out` in the exact
+/// Streaming form: writes the runs straight into `out` in the exact
 /// wire layout of put_vector<uint8_t> (u32 byte count, then the runs), so a
 /// DiffMsg can be encoded without staging the diff in its own vector.
 /// Returns the number of diff bytes written (0 = clean page).

@@ -40,11 +40,11 @@ Result<std::vector<PagePrior>> parse_page_priors(
                       "hints document is not a protocol-hint sidecar");
   }
   const std::int64_t version = doc.at("version").as_int();
-  if (version != 1 && version != 2) {
+  if (version != 2) {
     return make_error(ErrorCode::kInvalidArgument,
                       "unsupported protocol-hint sidecar version " +
                           std::to_string(version) +
-                          " (this runtime reads v1 and v2)");
+                          " (this runtime reads v2)");
   }
   std::vector<PagePrior> priors;
   if (doc.has("symbols") && doc.at("symbols").is_array()) {
@@ -65,10 +65,10 @@ Result<std::vector<PagePrior>> parse_page_priors(
       priors.push_back(prior);
     }
   }
-  // v2: epoch-ranged priors. Each phase record projects its ranges onto one
-  // DSM epoch: translator phase p runs during epoch p + epoch_base (the
-  // base accounts for the generated program's shared-init barrier).
-  if (version >= 2 && doc.has("phases") && doc.at("phases").is_array()) {
+  // Epoch-ranged priors. Each phase record projects its ranges onto one DSM
+  // epoch: translator phase p runs during epoch p + epoch_base (the base
+  // accounts for the generated program's shared-init barrier).
+  if (doc.has("phases") && doc.at("phases").is_array()) {
     const int epoch_base =
         static_cast<int>(int_field(doc, "epoch_base", 0));
     for (const obs::JsonValue& phase : doc.at("phases").array) {

@@ -13,14 +13,15 @@
 
 namespace parade::dsm {
 
-/// Parses a hints document (schema v1 or v2) into page priors. Symbols that
-/// are not DSM-placed (`"dsm": false`) or whose pool offset the translator
-/// could not compute statically (`"offset_known": false`) are skipped — they
-/// carry no actionable range. A v2 sidecar's `phases` array additionally
-/// yields epoch-ranged priors (PagePrior::phase >= 0): the interference
-/// pass's per-phase sharing classification, re-projected by the node at
-/// every barrier epoch. Malformed JSON or a missing/unknown schema version
-/// is an error; an empty symbol list is a valid empty result.
+/// Parses a hints document (schema v2, the only one the translator writes)
+/// into page priors. Symbols that are not DSM-placed (`"dsm": false`) or
+/// whose pool offset the translator could not compute statically
+/// (`"offset_known": false`) are skipped — they carry no actionable range.
+/// The `phases` array additionally yields epoch-ranged priors
+/// (PagePrior::phase >= 0): the interference pass's per-phase sharing
+/// classification, re-projected by the node at every barrier epoch.
+/// Malformed JSON or a missing/unknown schema version is an error; an empty
+/// symbol list is a valid empty result.
 Result<std::vector<PagePrior>> parse_page_priors(const std::string& hints_json);
 
 /// Reads the sidecar file at `path` and replaces `config->page_priors` with

@@ -22,12 +22,10 @@ struct WireHeader {
   double vtime;
 };
 
-// Version gate for the trace-context frame extension. A v2 frame is
-// [kWireMagicV2][WireHeader][WireTraceExt][payload]; a v1 frame starts
-// directly with WireHeader. The first 4 bytes disambiguate: they are either
-// the magic or WireHeader.src, and src is a rank in [0, size) which can
-// never equal the magic — so pre-trace peers' frames (and old captures)
-// still decode. Traced sends only: an untraced process keeps writing v1.
+// Every frame is [kWireMagicV2][WireHeader][WireTraceExt][payload]; the
+// trace ids are 0 when the sender is untraced. Both ends of a connection
+// are built from this tree, so there is no other layout: a stream whose
+// frame does not open with the magic is corrupt and the peer is dropped.
 inline constexpr std::uint32_t kWireMagicV2 = 0x32444150;  // "PAD2", LE
 
 struct WireTraceExt {
@@ -35,8 +33,12 @@ struct WireTraceExt {
   std::uint64_t span_id;
 };
 
-static_assert(sizeof(WireHeader) == 24, "v1 frame layout is wire ABI");
-static_assert(sizeof(WireTraceExt) == 16, "v2 extension layout is wire ABI");
+static_assert(sizeof(WireHeader) == 24, "frame header layout is wire ABI");
+static_assert(sizeof(WireTraceExt) == 16, "trace ext layout is wire ABI");
+
+/// Bytes before the payload: magic, header, trace extension.
+inline constexpr std::size_t kFramePrefixBytes =
+    sizeof(kWireMagicV2) + sizeof(WireHeader) + sizeof(WireTraceExt);
 
 std::string socket_path(const std::string& dir, NodeId rank) {
   return dir + "/node-" + std::to_string(rank) + ".sock";
@@ -162,23 +164,20 @@ Status SocketFabric::establish(const std::string& dir, int timeout_ms) {
 void SocketFabric::reader_loop(NodeId peer) {
   const int fd = peers_[static_cast<std::size_t>(peer)]->fd;
   for (;;) {
-    // Peek the version gate: magic → v2 frame with a trace extension,
-    // anything else is WireHeader.src of a v1 frame (ranks never alias the
-    // magic), so the remaining 20 header bytes follow.
-    std::uint32_t first = 0;
-    if (!read_all(fd, &first, sizeof(first))) break;
+    std::uint32_t magic = 0;
+    if (!read_all(fd, &magic, sizeof(magic))) break;
+    if (magic != kWireMagicV2) {
+      // Never reinterpret the bytes as a header: the stream is out of sync
+      // (or not ours), so nothing after this point can be framed safely.
+      PLOG_ERROR("frame from node " << peer << " lacks the wire magic (got 0x"
+                                    << std::hex << magic << std::dec
+                                    << "); marking the peer down");
+      break;
+    }
     WireHeader wire{};
     WireTraceExt ext{};
-    if (first == kWireMagicV2) {
-      if (!read_all(fd, &wire, sizeof(wire))) break;
-      if (!read_all(fd, &ext, sizeof(ext))) break;
-    } else {
-      std::memcpy(&wire, &first, sizeof(first));
-      if (!read_all(fd, reinterpret_cast<char*>(&wire) + sizeof(first),
-                    sizeof(wire) - sizeof(first))) {
-        break;
-      }
-    }
+    if (!read_all(fd, &wire, sizeof(wire))) break;
+    if (!read_all(fd, &ext, sizeof(ext))) break;
     std::vector<std::uint8_t> payload(wire.payload_size);
     if (wire.payload_size > 0 &&
         !read_all(fd, payload.data(), payload.size())) {
@@ -231,12 +230,11 @@ Status SocketFabric::send(NodeId dst, Tag tag,
     return make_error(ErrorCode::kUnavailable,
                       "peer " + std::to_string(dst) + " is down");
   }
-  const bool header_ok =
-      traced ? write_all(peer.fd, &kWireMagicV2, sizeof(kWireMagicV2)) &&
-                   write_all(peer.fd, &wire, sizeof(wire)) &&
-                   write_all(peer.fd, &ext, sizeof(ext))
-             : write_all(peer.fd, &wire, sizeof(wire));
-  if (!header_ok ||
+  std::uint8_t prefix[kFramePrefixBytes];
+  std::memcpy(prefix, &kWireMagicV2, sizeof(kWireMagicV2));
+  std::memcpy(prefix + sizeof(kWireMagicV2), &wire, sizeof(wire));
+  std::memcpy(prefix + sizeof(kWireMagicV2) + sizeof(wire), &ext, sizeof(ext));
+  if (!write_all(peer.fd, prefix, sizeof(prefix)) ||
       (!payload.empty() && !write_all(peer.fd, payload.data(), payload.size()))) {
     return make_error(ErrorCode::kIoError,
                       "socket send to node " + std::to_string(dst) +

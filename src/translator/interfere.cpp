@@ -275,7 +275,7 @@ class SeqWalker {
         --parallel_depth_;
         construct_ = saved_construct;
         scopes_.pop_back();
-        bump_phase();  // Team::run_region ends with barrier_global()
+        bump_phase();  // Team::run_region ends with the global barrier
         return;
       }
       case DirectiveKind::kParallelFor: {

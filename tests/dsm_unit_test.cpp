@@ -238,8 +238,8 @@ TEST(Protocol, CommThreadTagPartition) {
 // ---------------------------------------------------------------------------
 // TwinRegistry (zero-copy CoW twins)
 //
-// The cluster-level equivalence suite (dsm_zerocopy_test.cpp) proves the
-// end-to-end memory is bit-identical; these tests pin the registry's own
+// The cluster-level suite (dsm_zerocopy_test.cpp) checks the end-to-end
+// memory against a golden pool; these tests pin the registry's own
 // contract deterministically — privatization in particular only fires on
 // genuinely concurrent frame mutations in a live cluster, so it is forced
 // here directly.
@@ -280,7 +280,7 @@ class TwinRegistryTest : public ::testing::Test {
 
 TEST_F(TwinRegistryTest, AttachSharesWhenVersionsMatch) {
   const std::uint32_t v = twins_->frame_version(0);
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, v, /*allow_share=*/true));
+  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, v));
   EXPECT_TRUE(twins_->has_twin(1, 0));
   // The pristine source is the home's live frame, not a copy.
   bool saw = twins_->with_twin(1, 0, [&](const std::byte* src) {
@@ -293,21 +293,31 @@ TEST_F(TwinRegistryTest, AttachSharesWhenVersionsMatch) {
 
 TEST_F(TwinRegistryTest, AttachPrivatizesOnVersionMismatchOrSentinel) {
   const std::uint32_t v = twins_->frame_version(0);
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, v + 1, true));
+  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, v + 1));
   twins_->release_twin(1, 0);
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, TwinRegistry::kNeverFetched,
-                                   true));
-  twins_->release_twin(1, 0);
-  // allow_share=false is the legacy pipeline: always an eager copy.
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, v, false));
+  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, TwinRegistry::kNeverFetched));
   twins_->release_twin(1, 0);
   // A node is never given an alias of its own frame.
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 1, v, true));
+  EXPECT_FALSE(twins_->attach_twin(1, 0, 1, v));
+  twins_->release_twin(1, 0);
+}
+
+TEST_F(TwinRegistryTest, AttachCopiesEagerlyWithoutHomePool) {
+  // A standalone node over the socket fabric owns a solo registry: the
+  // home's pool lives in another process and is never registered, so even
+  // a version-matched attach must copy the writer's own frame.
+  twins_->unregister_pool(0);
+  const std::uint32_t v = twins_->frame_version(0);
+  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, v));
+  EXPECT_EQ(pristine_byte(), 0xAA);
+  twins_->with_twin(1, 0, [&](const std::byte* src) {
+    EXPECT_EQ(src, writer_->real_address(View::kTwin, 0, 0));
+  });
   twins_->release_twin(1, 0);
 }
 
 TEST_F(TwinRegistryTest, HomeMutationPrivatizesLiveAliases) {
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0), true));
+  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)));
   const std::uint32_t before = twins_->frame_version(0);
 
   // The home is about to merge a diff: the alias must be snapshotted first.
@@ -331,19 +341,19 @@ TEST_F(TwinRegistryTest, UnstableWindowBlocksSharing) {
   // Home write upgrade: any live alias privatizes, and the frame is marked
   // unstable until the flush downgrade.
   EXPECT_EQ(twins_->mark_unstable(0, 0), 0);
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0), true))
+  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)))
       << "attach shared against an unstable frame";
   twins_->release_twin(1, 0);
 
   twins_->mark_stable(0, 0);
   EXPECT_GT(twins_->frame_version(0), v0);
   // Stable again: a copy installed from a fresh serve may share.
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0), true));
+  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)));
   twins_->release_twin(1, 0);
 }
 
 TEST_F(TwinRegistryTest, UnregisterPrivatizesAliasesIntoSurvivors) {
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0), true));
+  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)));
   // The home's pool goes away (node shutdown): the alias must be copied out
   // before the frames unmap.
   twins_->unregister_pool(0);

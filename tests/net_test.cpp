@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <set>
 #include <thread>
@@ -8,6 +12,8 @@
 #include "net/inproc.hpp"
 #include "net/mailbox.hpp"
 #include "net/socket.hpp"
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
 
 namespace parade::net {
 namespace {
@@ -234,6 +240,112 @@ TEST(Socket, LargePayload) {
   EXPECT_EQ(m->payload, big);
   f0->shutdown();
   f1->shutdown();
+  std::filesystem::remove_all(dir);
+}
+
+/// Sends one message 0 -> 1 over a fresh socket pair and returns the
+/// received header. When `traced`, the send runs inside a span and `sent`
+/// receives its context.
+MessageHeader socket_round_trip(const std::string& name, bool traced,
+                                obs::SpanContext* sent) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / name).string();
+  std::filesystem::create_directories(dir);
+  std::unique_ptr<SocketFabric> f0, f1;
+  std::thread t0(
+      [&] { f0 = std::move(SocketFabric::create(0, 2, dir)).value(); });
+  std::thread t1(
+      [&] { f1 = std::move(SocketFabric::create(1, 2, dir)).value(); });
+  t0.join();
+  t1.join();
+  if (traced) {
+    obs::ScopedSpan span(obs::TraceKind::kSend, 0, 81);
+    *sent = span.context();
+    EXPECT_TRUE(f0->send(1, 81, {2}, 0.0).is_ok());
+  } else {
+    EXPECT_TRUE(f0->send(1, 81, {1}, 0.0).is_ok());
+  }
+  auto m = f1->inbox().recv_match(
+      [](const MessageHeader& h) { return h.tag == 81; });
+  f0->shutdown();
+  f1->shutdown();
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(m);
+  return m ? m->header : MessageHeader{};
+}
+
+TEST(Socket, TraceIdsSurviveRoundTrip) {
+  // Untraced sender: the frame still carries the extension, zeroed.
+  obs::SpanContext unused;
+  const MessageHeader plain =
+      socket_round_trip("parade-sock-plain", false, &unused);
+  EXPECT_EQ(plain.trace_id, 0u);
+  EXPECT_EQ(plain.span_id, 0u);
+
+  // Traced sender: the ambient span's ids arrive intact. The flag is only
+  // flipped while no fabric thread is running (it is a plain bool).
+  auto& reg = obs::Registry::instance();
+  reg.set_trace_enabled(true);
+  obs::SpanContext sent;
+  const MessageHeader traced =
+      socket_round_trip("parade-sock-traced", true, &sent);
+  reg.set_trace_enabled(false);
+  ASSERT_TRUE(sent.valid());
+  EXPECT_EQ(traced.trace_id, sent.trace_id);
+  EXPECT_EQ(traced.span_id, sent.span_id);
+}
+
+TEST(Socket, MagiclessFrameMarksPeerDown) {
+  // A raw client completes rank 1's handshake, then writes a frame that
+  // does not open with the wire magic (a bare 24-byte header, as an old or
+  // foreign peer would). Rank 0 must drop the peer rather than parse the
+  // bytes as a header: its recv from rank 1 reports kUnavailable.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "parade-sock-magic").string();
+  std::filesystem::create_directories(dir);
+  std::unique_ptr<SocketFabric> f0;
+  std::thread t0([&] {
+    auto fabric = SocketFabric::create(0, 2, dir);
+    ASSERT_TRUE(fabric.is_ok()) << fabric.status().to_string();
+    f0 = std::move(fabric).value();
+  });
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string path = dir + "/node-0.sock";
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  int fd = -1;
+  for (int attempt = 0; attempt < 2500; ++attempt) {
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+      break;
+    }
+    ::close(fd);
+    fd = -1;
+    ::usleep(2000);
+  }
+  ASSERT_GE(fd, 0) << "rank 0 never listened";
+  const std::int32_t rank = 1;
+  ASSERT_EQ(::write(fd, &rank, sizeof(rank)), ssize_t{sizeof(rank)});
+  t0.join();
+  ASSERT_TRUE(f0);
+
+  struct {
+    std::int32_t src = 1, dst = 0, tag = 5;
+    std::uint32_t payload_size = 0;
+    double vtime = 0.0;
+  } bare;
+  static_assert(sizeof(bare) == 24);
+  ASSERT_EQ(::write(fd, &bare, sizeof(bare)), ssize_t{sizeof(bare)});
+
+  auto outcome = f0->inbox().recv_match_from(
+      /*peer=*/1, [](const MessageHeader&) { return true; });
+  EXPECT_FALSE(outcome.message.has_value());
+  EXPECT_EQ(outcome.status.code(), ErrorCode::kUnavailable);
+
+  ::close(fd);
+  f0->shutdown();
   std::filesystem::remove_all(dir);
 }
 

@@ -482,7 +482,7 @@ TEST(SpanPropagation, RemoteFetchLinksRequesterAndServer) {
 
   dsm::DsmConfig config;
   config.pool_bytes = 4 << 20;
-  dsm::DsmCluster cluster(4, config);
+  dsm::DsmCluster cluster(Topology::cluster(4), config);
   run_span_workload(cluster);
 
   const auto events = reg.trace_events();
@@ -512,7 +512,8 @@ TEST(SpanPropagation, SurvivesDropAndReorderFaults) {
 
   dsm::DsmConfig config;
   config.pool_bytes = 4 << 20;
-  dsm::DsmCluster cluster(4, config, net::default_chaos_plan(11));
+  dsm::DsmCluster cluster(Topology::cluster(4), config,
+                          net::default_chaos_plan(11));
   run_span_workload(cluster);
 
   const auto events = reg.trace_events();

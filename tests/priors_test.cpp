@@ -20,7 +20,7 @@ namespace parade::dsm {
 namespace {
 
 const char* kSidecar =
-    "{\"version\":1,\"page_bytes\":4096,\"threshold_bytes\":256,"
+    "{\"version\":2,\"page_bytes\":4096,\"threshold_bytes\":256,"
     "\"symbols\":["
     "{\"name\":\"grid\",\"bytes\":8192,\"dsm\":true,\"offset_known\":true,"
     "\"pool_offset\":0,\"prefer_update\":false,\"migration_friendly\":false,"
@@ -52,11 +52,11 @@ TEST(PriorsParse, FiltersToDsmSymbolsWithKnownOffsets) {
 TEST(PriorsParse, RejectsMalformedAndWrongVersion) {
   EXPECT_FALSE(parse_page_priors("{not json").is_ok());
   EXPECT_FALSE(parse_page_priors("{\"version\":3,\"symbols\":[]}").is_ok());
-  // v2 (phased) sidecars are accepted by this runtime.
-  EXPECT_TRUE(parse_page_priors("{\"version\":2,\"symbols\":[]}").is_ok());
+  // Only v2 is read: the translator never writes v1.
+  EXPECT_FALSE(parse_page_priors("{\"version\":1,\"symbols\":[]}").is_ok());
   EXPECT_FALSE(parse_page_priors("[1,2,3]").is_ok());
   // Empty symbol list is a valid empty result, not an error.
-  auto empty = parse_page_priors("{\"version\":1,\"symbols\":[]}");
+  auto empty = parse_page_priors("{\"version\":2,\"symbols\":[]}");
   ASSERT_TRUE(empty.is_ok());
   EXPECT_TRUE(empty.value().empty());
 }
@@ -85,7 +85,7 @@ TEST(PriorsSeed, PagesMarkedAndCounted) {
       PagePrior{0, 2 * 4096, false, /*migration_friendly=*/false, 2});
   config.page_priors.push_back(
       PagePrior{2 * 4096, 8, /*prefer_update=*/true, true, 1});
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   cluster.run([&](NodeId rank) {
     DsmNode& node = cluster.node(rank);
     EXPECT_FALSE(node.prior_allows_migration(0));
@@ -103,7 +103,7 @@ TEST(PriorsSeed, PagesMarkedAndCounted) {
 TEST(PriorsSeed, NoPriorsChangesNothing) {
   DsmConfig config;
   config.pool_bytes = 4 << 20;
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   cluster.run([&](NodeId rank) {
     DsmNode& node = cluster.node(rank);
     EXPECT_TRUE(node.prior_allows_migration(0));
@@ -120,7 +120,7 @@ TEST(PriorsMigration, PinnedPageKeepsHomeSoleWriterWouldTake) {
   {
     DsmConfig config;
     config.pool_bytes = 4 << 20;
-    DsmCluster cluster(2, config);
+    DsmCluster cluster(Topology::cluster(2), config);
     cluster.run([&](NodeId rank) {
       auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
       const PageId page =
@@ -141,7 +141,7 @@ TEST(PriorsMigration, PinnedPageKeepsHomeSoleWriterWouldTake) {
     config.pool_bytes = 4 << 20;
     config.page_priors.push_back(
         PagePrior{0, 4096, false, /*migration_friendly=*/false, 1});
-    DsmCluster cluster(2, config);
+    DsmCluster cluster(Topology::cluster(2), config);
     cluster.run([&](NodeId rank) {
       auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
       const PageId page =
@@ -165,7 +165,7 @@ TEST(PriorsMigration, UncoveredPagesStillMigrate) {
   // Prior covers page 0 only; the second allocation's page is uncovered.
   config.page_priors.push_back(
       PagePrior{0, 4096, false, /*migration_friendly=*/false, 1});
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   cluster.run([&](NodeId rank) {
     auto* pinned = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     auto* free_page =
@@ -236,9 +236,9 @@ std::int64_t run_phased_scenario(std::optional<std::uint64_t> fault_seed) {
   const int nodes = 2;
   auto cluster =
       fault_seed.has_value()
-          ? std::make_unique<DsmCluster>(nodes, config,
+          ? std::make_unique<DsmCluster>(Topology::cluster(nodes), config,
                                          net::default_chaos_plan(*fault_seed))
-          : std::make_unique<DsmCluster>(nodes, config);
+          : std::make_unique<DsmCluster>(Topology::cluster(nodes), config);
   cluster->run([&](NodeId rank) {
     DsmNode& node = cluster->node(rank);
     auto* data = static_cast<int*>(node.shmalloc(4096, 4096));
@@ -287,7 +287,7 @@ TEST(PriorsPhasedChaos, ReprojectionSurvivesFaultInjection) {
 
 TEST(PriorsEmbedded, RegistrationRoundTrip) {
   EXPECT_EQ(embedded_hints_json(), nullptr);
-  static const char kBlob[] = "{\"version\":1,\"symbols\":[]}";
+  static const char kBlob[] = "{\"version\":2,\"symbols\":[]}";
   set_embedded_hints_json(kBlob);
   EXPECT_STREQ(embedded_hints_json(), kBlob);
   set_embedded_hints_json(nullptr);
