@@ -95,8 +95,8 @@ std::size_t append_diff(WireBuffer& out, const std::uint8_t* current,
   return diff_bytes;
 }
 
-bool apply_diff(std::uint8_t* target, std::size_t page_bytes,
-                const std::uint8_t* diff, std::size_t diff_bytes) {
+bool diff_well_formed(std::size_t page_bytes, const std::uint8_t* diff,
+                      std::size_t diff_bytes) {
   std::size_t pos = 0;
   while (pos < diff_bytes) {
     if (pos + 8 > diff_bytes) return false;
@@ -105,10 +105,22 @@ bool apply_diff(std::uint8_t* target, std::size_t page_bytes,
     pos += 8;
     if (length == 0 || pos + length > diff_bytes) return false;
     if (static_cast<std::size_t>(offset) + length > page_bytes) return false;
-    std::memcpy(target + offset, diff + pos, length);
     pos += length;
   }
-  return pos == diff_bytes;
+  return true;
+}
+
+bool apply_diff(std::uint8_t* target, std::size_t page_bytes,
+                const std::uint8_t* diff, std::size_t diff_bytes) {
+  if (!diff_well_formed(page_bytes, diff, diff_bytes)) return false;
+  std::size_t pos = 0;
+  while (pos < diff_bytes) {
+    const std::uint32_t offset = read_u32(diff + pos);
+    const std::uint32_t length = read_u32(diff + pos + 4);
+    std::memcpy(target + offset, diff + pos + 8, length);
+    pos += 8 + length;
+  }
+  return true;
 }
 
 std::size_t diff_payload_bytes(const std::uint8_t* diff,

@@ -31,8 +31,14 @@ std::vector<std::uint8_t> encode_diff(const std::uint8_t* current,
 std::size_t append_diff(WireBuffer& out, const std::uint8_t* current,
                         const std::uint8_t* twin, std::size_t page_bytes);
 
+/// True when every run of `diff` is complete, non-empty and inside a page
+/// of `page_bytes`.
+bool diff_well_formed(std::size_t page_bytes, const std::uint8_t* diff,
+                      std::size_t diff_bytes);
+
 /// Applies an encoded diff onto `target` (a page of `page_bytes`).
-/// Returns false if the diff is malformed or out of range.
+/// Returns false, leaving `target` untouched, if the diff is not
+/// diff_well_formed.
 bool apply_diff(std::uint8_t* target, std::size_t page_bytes,
                 const std::uint8_t* diff, std::size_t diff_bytes);
 

@@ -99,6 +99,32 @@ void DsmNode::post(NodeId dst, Tag tag, std::vector<std::uint8_t> payload,
   }
 }
 
+template <typename WaitOnce, typename Resend>
+void DsmNode::retry(const char* what, WaitOnce wait_once, Resend resend) {
+  const Status s = config_.retry.run("dsm.partition", wait_once, resend);
+  PARADE_CHECK_MSG(s.is_ok(), std::string(what) + ": " + s.message());
+}
+
+template <typename Accept, typename Resend>
+void DsmNode::await(Tag tag, const char* what, Accept accept, Resend resend) {
+  const net::Mailbox::Matcher match = [tag](const net::MessageHeader& h) {
+    return h.tag == tag;
+  };
+  retry(
+      what,
+      [&](std::chrono::milliseconds timeout) {
+        for (;;) {
+          auto msg = channel_.inbox().recv_match_for(match, timeout);
+          if (!msg.has_value()) {
+            return channel_.inbox().closed() ? net::WaitOutcome::kClosed
+                                             : net::WaitOutcome::kTimedOut;
+          }
+          if (accept(*msg)) return net::WaitOutcome::kDone;
+        }
+      },
+      resend);
+}
+
 DsmNode::~DsmNode() { shutdown(); }
 
 Status DsmNode::start() {
@@ -339,13 +365,7 @@ void DsmNode::fetch_page(PageId page, std::unique_lock<std::mutex>& lock,
   obs::ScopedSpan span(obs::TraceKind::kPageFault, rank(),
                        static_cast<Tag>(page));
   obs::ScopedHistTimer fetch_scope(fetch_hist_);
-  VirtualUs stamp = 0.0;
-  auto* clock = vtime::thread_clock();
-  if (clock != nullptr) {
-    clock->sync_cpu();
-    clock->add(config_.net.send_overhead_us);
-    stamp = clock->now();
-  }
+  const VirtualUs stamp = vtime::charge_send(config_.net.send_overhead_us);
   const auto payload = codec<PageRequestMsg>::encode({page, seq});
   post(home, kTagPageRequest, payload, stamp);
 
@@ -357,17 +377,20 @@ void DsmNode::fetch_page(PageId page, std::unique_lock<std::mutex>& lock,
     return entry.state == PageState::kReadOnly ||
            entry.state == PageState::kDirty;
   };
-  int attempts = 1;
-  while (!entry.cv.wait_for(lock, config_.retry.timeout(), ready)) {
-    PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                     "page fetch timed out after max retries");
-    ++attempts;
-    stats_.inc_retries();
-    lock.unlock();
-    post(home, kTagPageRequest, payload, stamp);
-    lock.lock();
-  }
-  if (clock != nullptr) {
+  retry(
+      "page fetch",
+      [&](std::chrono::milliseconds timeout) {
+        return entry.cv.wait_for(lock, timeout, ready)
+                   ? net::WaitOutcome::kDone
+                   : net::WaitOutcome::kTimedOut;
+      },
+      [&] {
+        stats_.inc_retries();
+        lock.unlock();
+        post(home, kTagPageRequest, payload, stamp);
+        lock.lock();
+      });
+  if (auto* clock = vtime::thread_clock()) {
     clock->sync_cpu();
     clock->merge(entry.ready_vtime);
   }
@@ -468,45 +491,33 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages) {
     if (diff_bytes == 0) continue;  // page written but unchanged
     stats_.inc_diffs_created();
     stats_.inc_diff_bytes_sent(static_cast<std::int64_t>(diff_bytes));
-    VirtualUs stamp = 0.0;
-    if (clock != nullptr) {
-      clock->sync_cpu();
-      clock->add(config_.net.send_overhead_us);
-      stamp = clock->now();
-    }
+    const VirtualUs stamp = vtime::charge_send(config_.net.send_overhead_us);
     post(home, kTagDiff, payload, stamp);
     pending.emplace(seq, PendingDiff{home, std::move(payload), stamp});
   }
+  if (pending.empty()) return;
 
-  int attempts = 1;
-  while (!pending.empty()) {
-    auto ack = channel_.inbox().recv_match_for(
-        [](const net::MessageHeader& h) { return h.tag == kTagDiffAck; },
-        config_.retry.timeout());
-    if (!ack.has_value()) {
-      PARADE_CHECK_MSG(!channel_.inbox().closed(),
-                       "channel closed waiting for diff ack");
-      PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                       "diff ack timed out after max retries");
-      ++attempts;
-      for (const auto& [seq, diff] : pending) {
-        stats_.inc_retries();
-        post(diff.home, kTagDiff, diff.payload, diff.stamp);
-      }
-      continue;
-    }
-    auto acked_r = codec<DiffAckMsg>::try_decode(ack->payload);
-    if (!acked_r.is_ok()) continue;  // malformed frame off the wire
-    const DiffAckMsg acked = std::move(acked_r).value();
-    // Unknown seq: a duplicate ack, or one for a diff a previous flush
-    // retransmitted right before its original ack arrived. Ignore.
-    if (pending.erase(acked.seq) == 0) continue;
-    if (clock != nullptr) {
-      clock->sync_cpu();
-      clock->merge(ack->header.vtime +
-                   config_.net.transfer_us(ack->payload.size()));
-    }
-  }
+  await(
+      kTagDiffAck, "diff ack",
+      [&](const net::Message& ack) {
+        auto acked_r = codec<DiffAckMsg>::try_decode(ack.payload);
+        if (!acked_r.is_ok()) return false;  // malformed frame off the wire
+        // Unknown seq: a duplicate ack, or one for a diff a previous flush
+        // retransmitted right before its original ack arrived. Ignore.
+        if (pending.erase(acked_r.value().seq) == 0) return false;
+        if (clock != nullptr) {
+          clock->sync_cpu();
+          clock->merge(ack.header.vtime +
+                       config_.net.transfer_us(ack.payload.size()));
+        }
+        return pending.empty();
+      },
+      [&] {
+        for (const auto& [seq, diff] : pending) {
+          stats_.inc_retries();
+          post(diff.home, kTagDiff, diff.payload, diff.stamp);
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -629,40 +640,30 @@ void DsmNode::barrier() {
     const NodeId parent = topo_.parent();
     const auto payload = codec<BarrierArriveMsg>::encode(std::move(arrive));
     post(parent, kTagBarrierArrive, payload, stamp);
-    int attempts = 1;
-    for (;;) {
-      auto msg = channel_.inbox().recv_match_for(
-          [](const net::MessageHeader& h) {
-            return h.tag == kTagBarrierDepart;
-          },
-          config_.retry.timeout());
-      if (!msg.has_value()) {
-        PARADE_CHECK_MSG(!channel_.inbox().closed(),
-                         "channel closed during barrier");
-        PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                         "barrier departure timed out after max retries");
+    await(
+        kTagBarrierDepart, "barrier departure",
+        [&](const net::Message& msg) {
+          auto depart_r = codec<BarrierDepartMsg>::try_decode(msg.payload);
+          if (!depart_r.is_ok()) return false;  // malformed frame off the wire
+          BarrierDepartMsg got = std::move(depart_r).value();
+          const auto action = rules::classify_barrier_depart(got.epoch, epoch_);
+          if (action == rules::DepartAction::kIgnoreStale) return false;
+          PARADE_CHECK_MSG(action == rules::DepartAction::kProcess,
+                           "barrier departure from a future epoch");
+          if (clock != nullptr) {
+            clock->merge(got.departure_vtime +
+                         config_.net.transfer_us(msg.payload.size()));
+          }
+          depart = std::move(got);
+          return true;
+        },
         // Either our arrival or the parent's departure was lost; resending
         // the arrival recovers both (every gather node re-answers closed
         // epochs on its child edges).
-        ++attempts;
-        stats_.inc_retries();
-        post(parent, kTagBarrierArrive, payload, stamp);
-        continue;
-      }
-      auto depart_r = codec<BarrierDepartMsg>::try_decode(msg->payload);
-      if (!depart_r.is_ok()) continue;  // malformed frame off the wire
-      BarrierDepartMsg got = std::move(depart_r).value();
-      const auto action = rules::classify_barrier_depart(got.epoch, epoch_);
-      if (action == rules::DepartAction::kIgnoreStale) continue;
-      PARADE_CHECK_MSG(action == rules::DepartAction::kProcess,
-                       "barrier departure from a future epoch");
-      if (clock != nullptr) {
-        clock->merge(got.departure_vtime +
-                     config_.net.transfer_us(msg->payload.size()));
-      }
-      depart = std::move(got);
-      break;
-    }
+        [&] {
+          stats_.inc_retries();
+          post(parent, kTagBarrierArrive, payload, stamp);
+        });
   }
 
   // Scatter the departure to our direct children, then apply it locally.
@@ -695,25 +696,26 @@ DsmNode::gather_children(std::size_t needed) {
   // current epoch's set to complete. Children drive retransmission, so a
   // timeout here only bounds how long we tolerate a silent fabric.
   std::unique_lock lock(barrier_gather_.mutex);
-  int attempts = 1;
-  for (;;) {
-    auto it = barrier_gather_.arrivals.find(epoch_);
-    const std::size_t have =
-        it == barrier_gather_.arrivals.end() ? 0 : it->second.size();
-    if (have == needed) {
-      gathered = std::move(it->second);
-      barrier_gather_.arrivals.erase(it);
-      break;
-    }
-    PARADE_CHECK_MSG(!barrier_gather_.closed,
-                     "channel closed during barrier gather");
-    if (barrier_gather_.cv.wait_for(lock, config_.retry.timeout()) ==
-        std::cv_status::timeout) {
-      PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                       "barrier gather timed out after max retries");
-      ++attempts;
-    }
-  }
+  retry(
+      "barrier gather",
+      [&](std::chrono::milliseconds timeout) {
+        for (;;) {
+          auto it = barrier_gather_.arrivals.find(epoch_);
+          const std::size_t have =
+              it == barrier_gather_.arrivals.end() ? 0 : it->second.size();
+          if (have == needed) {
+            gathered = std::move(it->second);
+            barrier_gather_.arrivals.erase(it);
+            return net::WaitOutcome::kDone;
+          }
+          if (barrier_gather_.closed) return net::WaitOutcome::kClosed;
+          if (barrier_gather_.cv.wait_for(lock, timeout) ==
+              std::cv_status::timeout) {
+            return net::WaitOutcome::kTimedOut;
+          }
+        }
+      },
+      [] {});
   return gathered;
 }
 
@@ -822,19 +824,13 @@ void DsmNode::process_departure(const BarrierDepartMsg& msg) {
 // DSM locks (conventional-SDSM path)
 
 void DsmNode::lock_acquire(int lock_id) {
-  PARADE_CHECK_MSG(lock_id >= 0 && lock_id < kMaxDsmLocks, "lock id range");
+  PARADE_CHECK_MSG(lock_in_range(lock_id), "lock id range");
   // Serialize this node's threads on the lock before talking to the manager;
   // released in lock_release (see lock_gate_).
   lock_gate_[static_cast<std::size_t>(lock_id)].lock();
   stats_.inc_lock_acquires();
   const NodeId home = static_cast<NodeId>(lock_id % size());
-  auto* clock = vtime::thread_clock();
-  VirtualUs stamp = 0.0;
-  if (clock != nullptr) {
-    clock->sync_cpu();
-    clock->add(config_.net.send_overhead_us);
-    stamp = clock->now();
-  }
+  const VirtualUs stamp = vtime::charge_send(config_.net.send_overhead_us);
   const std::uint32_t seq = next_seq();
   const auto payload = codec<LockAcquireMsg>::encode({lock_id, seq});
   LockGrantMsg grant;
@@ -845,36 +841,27 @@ void DsmNode::lock_acquire(int lock_id) {
     obs::ScopedSpan span(obs::TraceKind::kLock, rank(), lock_id);
     obs::ScopedHistTimer grant_scope(lock_grant_hist_);
     post(home, kTagLockAcquire, payload, stamp);
-
-    int attempts = 1;
-    for (;;) {
-      auto msg = channel_.inbox().recv_match_for(
-          [&](const net::MessageHeader& h) {
-            return h.tag == kTagLockGrantBase + lock_id;
-          },
-          config_.retry.timeout());
-      if (!msg.has_value()) {
-        PARADE_CHECK_MSG(!channel_.inbox().closed(),
-                         "channel closed during lock acquire");
-        PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                         "lock grant timed out after max retries");
-        ++attempts;
-        stats_.inc_retries();
-        post(home, kTagLockAcquire, payload, stamp);
-        continue;
-      }
-      auto grant_r = codec<LockGrantMsg>::try_decode(msg->payload);
-      if (!grant_r.is_ok()) continue;  // malformed frame off the wire
-      grant = std::move(grant_r).value();
-      // Duplicate grant of an older acquire: drop and keep waiting.
-      if (!rules::accept_response_seq(seq, grant.seq)) continue;
-      if (clock != nullptr) {
-        clock->sync_cpu();
-        clock->merge(msg->header.vtime +
-                     config_.net.transfer_us(msg->payload.size()));
-      }
-      break;
-    }
+    await(
+        kTagLockGrantBase + lock_id, "lock grant",
+        [&](const net::Message& msg) {
+          auto grant_r = codec<LockGrantMsg>::try_decode(msg.payload);
+          if (!grant_r.is_ok()) return false;  // malformed frame off the wire
+          // Duplicate grant of an older acquire: drop and keep waiting.
+          if (!rules::accept_response_seq(seq, grant_r.value().seq)) {
+            return false;
+          }
+          grant = std::move(grant_r).value();
+          if (auto* clock = vtime::thread_clock()) {
+            clock->sync_cpu();
+            clock->merge(msg.header.vtime +
+                         config_.net.transfer_us(msg.payload.size()));
+          }
+          return true;
+        },
+        [&] {
+          stats_.inc_retries();
+          post(home, kTagLockAcquire, payload, stamp);
+        });
   }
 
   // Lazy-release consistency, conservatively: invalidate every cached page
@@ -895,7 +882,7 @@ void DsmNode::lock_acquire(int lock_id) {
 }
 
 void DsmNode::lock_release(int lock_id) {
-  PARADE_CHECK_MSG(lock_id >= 0 && lock_id < kMaxDsmLocks, "lock id range");
+  PARADE_CHECK_MSG(lock_in_range(lock_id), "lock id range");
   std::vector<PageId> cs_pages = cs_tracking::end();
   // Dedup (a page may fault several times across nested sections).
   std::sort(cs_pages.begin(), cs_pages.end());
@@ -904,13 +891,7 @@ void DsmNode::lock_release(int lock_id) {
   flush_pages(cs_pages);
 
   const NodeId home = static_cast<NodeId>(lock_id % size());
-  auto* clock = vtime::thread_clock();
-  VirtualUs stamp = 0.0;
-  if (clock != nullptr) {
-    clock->sync_cpu();
-    clock->add(config_.net.send_overhead_us);
-    stamp = clock->now();
-  }
+  const VirtualUs stamp = vtime::charge_send(config_.net.send_overhead_us);
   const std::uint32_t seq = next_seq();
   const auto payload =
       codec<LockReleaseMsg>::encode({lock_id, std::move(cs_pages), seq});
@@ -921,30 +902,18 @@ void DsmNode::lock_release(int lock_id) {
   // Wait for the manager's ack so a lost release cannot strand the lock.
   // The ack is a reliability artifact, not part of the HLRC cost model
   // (release is asynchronous in the paper), so its vtime is not merged.
-  int attempts = 1;
-  for (;;) {
-    auto msg = channel_.inbox().recv_match_for(
-        [&](const net::MessageHeader& h) {
-          return h.tag == kTagLockReleaseAckBase + lock_id;
-        },
-        config_.retry.timeout());
-    if (!msg.has_value()) {
-      PARADE_CHECK_MSG(!channel_.inbox().closed(),
-                       "channel closed during lock release");
-      PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                       "lock release ack timed out after max retries");
-      ++attempts;
-      stats_.inc_retries();
-      post(home, kTagLockRelease, payload, stamp);
-      continue;
-    }
-    auto relack_r = codec<LockReleaseAckMsg>::try_decode(msg->payload);
-    if (!relack_r.is_ok()) continue;  // malformed frame off the wire
-    const LockReleaseAckMsg acked = std::move(relack_r).value();
-    // Duplicate ack of an older release: drop and keep waiting.
-    if (!rules::accept_response_seq(seq, acked.seq)) continue;
-    break;
-  }
+  await(
+      kTagLockReleaseAckBase + lock_id, "lock release ack",
+      [&](const net::Message& msg) {
+        auto relack_r = codec<LockReleaseAckMsg>::try_decode(msg.payload);
+        // Malformed frame, or a duplicate ack of an older release: drop.
+        return relack_r.is_ok() &&
+               rules::accept_response_seq(seq, relack_r.value().seq);
+      },
+      [&] {
+        stats_.inc_retries();
+        post(home, kTagLockRelease, payload, stamp);
+      });
   lock_gate_[static_cast<std::size_t>(lock_id)].unlock();
 }
 
@@ -1012,6 +981,10 @@ void DsmNode::serve_page_request(const net::Message& message) {
     return;
   }
   const PageRequestMsg request = std::move(request_r).value();
+  if (!page_in_range(request.page)) {
+    PLOG_WARN("dropping page request for out-of-range page " << request.page);
+    return;
+  }
   // Child of the requester's page_fault span (context off the wire); the
   // reply posted below inherits this span, closing the causal loop.
   obs::ScopedSpan span(
@@ -1056,7 +1029,8 @@ void DsmNode::serve_page_request(const net::Message& message) {
 
 void DsmNode::install_page(const net::Message& message) {
   auto reply_r = PageReplyView::from(message.span());
-  if (!reply_r.is_ok() || reply_r.value().data.size() != config_.page_bytes) {
+  if (!reply_r.is_ok() || reply_r.value().data.size() != config_.page_bytes ||
+      !page_in_range(reply_r.value().page)) {
     PLOG_WARN("dropping malformed page reply");
     return;
   }
@@ -1090,6 +1064,14 @@ void DsmNode::apply_incoming_diff(const net::Message& message) {
     return;
   }
   const DiffView diff = diff_r.value();
+  // Validate before accept_diff records the seq: a frame dropped after that
+  // would be re-acked as a duplicate on retransmission, yet never applied.
+  if (!page_in_range(diff.page) ||
+      !diff_well_formed(config_.page_bytes, diff.diff.data(),
+                        diff.diff.size())) {
+    PLOG_WARN("dropping malformed diff for page " << diff.page);
+    return;
+  }
   // A retransmitted diff whose original already merged must not re-apply (the
   // page may have moved on since), but the sender is still waiting: re-ack.
   if (rules::accept_diff(diff_seen_, message.header.src, diff.seq)) {
@@ -1103,10 +1085,8 @@ void DsmNode::apply_incoming_diff(const net::Message& message) {
     // served before this merge can no longer seed a shared twin.
     const int privatized = twins_->begin_home_mutation(diff.page);
     if (privatized > 0) stats_.inc_twin_privatizations(privatized);
-    const bool ok =
-        apply_diff(reinterpret_cast<std::uint8_t*>(sys_page(diff.page)),
-                   config_.page_bytes, diff.diff.data(), diff.diff.size());
-    PARADE_CHECK_MSG(ok, "malformed diff");
+    (void)apply_diff(reinterpret_cast<std::uint8_t*>(sys_page(diff.page)),
+                     config_.page_bytes, diff.diff.data(), diff.diff.size());
   }
   post(message.header.src, kTagDiffAck,
        codec<DiffAckMsg>::encode({diff.page, diff.seq}), comm_clock_.now());
@@ -1136,6 +1116,11 @@ void DsmNode::lock_manager_acquire(const net::Message& message) {
     return;
   }
   const LockAcquireMsg request = std::move(acquire_r).value();
+  if (!lock_in_range(request.lock_id)) {
+    PLOG_WARN("dropping lock acquire for out-of-range lock "
+              << request.lock_id);
+    return;
+  }
   // Child of the requester's lock span; a grant sent here inherits it.
   obs::ScopedSpan span(
       obs::TraceKind::kLockServe, rank(), request.lock_id,
@@ -1171,6 +1156,12 @@ void DsmNode::lock_manager_release(const net::Message& message) {
     return;
   }
   const LockReleaseMsg release = std::move(release_r).value();
+  if (!lock_in_range(release.lock_id) ||
+      !std::all_of(release.dirtied_pages.begin(), release.dirtied_pages.end(),
+                   [this](PageId page) { return page_in_range(page); })) {
+    PLOG_WARN("dropping lock release with a lock or page id out of range");
+    return;
+  }
   // Child of the releaser's lock span; a handed-off grant inherits it, so a
   // waiter's grant traces back to the release that unblocked it.
   obs::ScopedSpan span(

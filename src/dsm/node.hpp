@@ -156,8 +156,28 @@ class DsmNode {
   void post(NodeId dst, Tag tag, std::vector<std::uint8_t> payload,
             VirtualUs vtime);
 
+  /// Every DSM wait for a peer runs config_.retry.run here: the one abort
+  /// site (after a `dsm.partition` flight record) for a peer silent past
+  /// the budget. `what` names the exchange in the abort message.
+  template <typename WaitOnce, typename Resend>
+  void retry(const char* what, WaitOnce wait_once, Resend resend);
+  /// retry() over inbox frames tagged `tag`, until `accept` says the
+  /// exchange is complete. A frame it rejects (malformed, stale, partial
+  /// progress) restarts a full timeout without spending an attempt.
+  template <typename Accept, typename Resend>
+  void await(Tag tag, const char* what, Accept accept, Resend resend);
+
   void protect(PageId page, int prot);
   std::byte* sys_page(PageId page) const;
+
+  /// Range checks for ids that arrive off the wire: a frame naming a page
+  /// or lock outside this node's tables is dropped, never dereferenced.
+  bool page_in_range(PageId page) const {
+    return page >= 0 && static_cast<std::size_t>(page) < config_.num_pages();
+  }
+  static bool lock_in_range(std::int32_t lock_id) {
+    return lock_id >= 0 && lock_id < kMaxDsmLocks;
+  }
 
   /// The single funnel for page-state changes: asserts the change is a legal
   /// Figure-5 edge (rules::transition_allowed) before assigning. The check

@@ -14,7 +14,7 @@
 //                         grants)
 //   lock releaser:        LockReleaseAck (lock-indexed like grants)
 //
-// Reliability: request/response messages carry a sender-chosen sequence
+// Retransmission: request/response messages carry a sender-chosen sequence
 // number so the protocol survives a lossy fabric (net/faulty.hpp). Senders
 // retransmit on timeout; receivers treat duplicates as re-requests (serve
 // again or re-ack — every handler is idempotent) and responders echo the

@@ -158,7 +158,7 @@ constexpr FaultAction fault_action(PageState state, bool is_write,
 constexpr bool needs_twin(NodeId home, NodeId self) { return home != self; }
 
 // ---------------------------------------------------------------------------
-// Reliability layer: sequence-number and dedup acceptance (PR 2).
+// Retransmission safety: sequence-number and dedup acceptance.
 
 /// Accept a page reply iff a fetch is outstanding for the page and the reply
 /// echoes the outstanding fetch's sequence number. Anything else is a

@@ -11,16 +11,26 @@
 namespace parade::mp {
 namespace {
 
-vtime::ThreadClock* t_clock_get() { return vtime::thread_clock(); }
+/// Matches user-tagged point-to-point messages; `src` and `tag` may be
+/// kAnyNode / kAnyTag.
+net::Mailbox::Matcher user_match(NodeId src, Tag tag) {
+  return [src, tag](const net::MessageHeader& h) {
+    if (h.tag < net::kMpTagBase || h.tag >= net::kCollTagBase) return false;
+    if (src != kAnyNode && h.src != src) return false;
+    return tag == kAnyTag || h.tag == net::kMpTagBase + tag;
+  };
+}
+
+void fill_status(const net::Message& m, RecvStatus* status) {
+  if (status == nullptr) return;
+  *status = {m.header.src, m.header.tag - net::kMpTagBase, m.payload.size()};
+}
 
 }  // namespace
 
 Comm::Comm(const Topology& topology, net::Channel& channel,
-           vtime::NetworkModel model, Reliability reliability)
-    : channel_(channel),
-      topo_(topology),
-      model_(model),
-      reliability_(reliability) {
+           vtime::NetworkModel model, net::RetryPolicy retry)
+    : channel_(channel), topo_(topology), model_(model), retry_(retry) {
   PARADE_CHECK_MSG(topo_.valid(), "invalid topology");
   PARADE_CHECK_MSG(topo_.rank == channel.rank() &&
                        topo_.nodes == channel.size(),
@@ -56,12 +66,7 @@ Tag Comm::next_collective_tag() {
 
 void Comm::send_wire(NodeId dst, Tag wire_tag, const void* data,
                      std::size_t bytes) {
-  VirtualUs stamp = 0.0;
-  if (t_clock_get() != nullptr) {
-    t_clock_get()->sync_cpu();
-    t_clock_get()->add(model_.send_overhead_us);
-    stamp = t_clock_get()->now();
-  }
+  const VirtualUs stamp = vtime::charge_send(model_.send_overhead_us);
   std::vector<std::uint8_t> payload(bytes);
   if (bytes > 0) std::memcpy(payload.data(), data, bytes);
   if (wire_tag < net::kCollTagBase) {
@@ -75,18 +80,22 @@ void Comm::send_wire(NodeId dst, Tag wire_tag, const void* data,
   }
 }
 
+void Comm::charge_arrival(const net::Message& message) {
+  if (auto* clock = vtime::thread_clock()) {
+    clock->sync_cpu();
+    clock->merge(message.header.vtime +
+                 model_.transfer_us(message.payload.size()));
+    clock->add(model_.recv_overhead_us);
+  }
+}
+
 net::Message Comm::recv_wire(NodeId src, Tag wire_tag) {
   obs::ScopedTimer wait(metrics_.recv_wait);
   auto matched = channel_.inbox().recv_match([&](const net::MessageHeader& h) {
     return h.tag == wire_tag && (src == kAnyNode || h.src == src);
   });
   PARADE_CHECK_MSG(matched.has_value(), "channel closed during recv");
-  if (t_clock_get() != nullptr) {
-    t_clock_get()->sync_cpu();
-    t_clock_get()->merge(matched->header.vtime +
-                   model_.transfer_us(matched->payload.size()));
-    t_clock_get()->add(model_.recv_overhead_us);
-  }
+  charge_arrival(*matched);
   return std::move(*matched);
 }
 
@@ -107,46 +116,19 @@ RecvStatus Comm::recv(NodeId src, Tag tag, void* buffer, std::size_t bytes) {
 std::vector<std::uint8_t> Comm::recv_bytes(NodeId src, Tag tag,
                                            RecvStatus* status) {
   obs::ScopedTimer wait(metrics_.recv_wait);
-  auto matched = channel_.inbox().recv_match([&](const net::MessageHeader& h) {
-    if (h.tag < net::kMpTagBase || h.tag >= net::kCollTagBase) return false;
-    if (src != kAnyNode && h.src != src) return false;
-    return tag == kAnyTag || h.tag == net::kMpTagBase + tag;
-  });
+  auto matched = channel_.inbox().recv_match(user_match(src, tag));
   PARADE_CHECK_MSG(matched.has_value(), "channel closed during recv");
-  if (t_clock_get() != nullptr) {
-    t_clock_get()->sync_cpu();
-    t_clock_get()->merge(matched->header.vtime +
-                   model_.transfer_us(matched->payload.size()));
-    t_clock_get()->add(model_.recv_overhead_us);
-  }
-  if (status != nullptr) {
-    status->source = matched->header.src;
-    status->tag = matched->header.tag - net::kMpTagBase;
-    status->bytes = matched->payload.size();
-  }
+  charge_arrival(*matched);
+  fill_status(*matched, status);
   return std::move(matched->payload);
 }
 
 std::optional<std::vector<std::uint8_t>> Comm::try_recv_bytes(
     NodeId src, Tag tag, RecvStatus* status) {
-  auto matched =
-      channel_.inbox().try_recv_match([&](const net::MessageHeader& h) {
-        if (h.tag < net::kMpTagBase || h.tag >= net::kCollTagBase) return false;
-        if (src != kAnyNode && h.src != src) return false;
-        return tag == kAnyTag || h.tag == net::kMpTagBase + tag;
-      });
+  auto matched = channel_.inbox().try_recv_match(user_match(src, tag));
   if (!matched) return std::nullopt;
-  if (t_clock_get() != nullptr) {
-    t_clock_get()->sync_cpu();
-    t_clock_get()->merge(matched->header.vtime +
-                   model_.transfer_us(matched->payload.size()));
-    t_clock_get()->add(model_.recv_overhead_us);
-  }
-  if (status != nullptr) {
-    status->source = matched->header.src;
-    status->tag = matched->header.tag - net::kMpTagBase;
-    status->bytes = matched->payload.size();
-  }
+  charge_arrival(*matched);
+  fill_status(*matched, status);
   return std::move(matched->payload);
 }
 
@@ -283,7 +265,7 @@ void Comm::allgather(const void* contribution, std::size_t bytes, void* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Reliable wire engine (see struct Reliability in comm.hpp)
+// Reliable wire engine (see the try_* family in comm.hpp)
 
 namespace {
 
@@ -301,6 +283,11 @@ void write_seq(std::uint8_t* out, std::uint32_t seq) {
   out[3] = static_cast<std::uint8_t>(seq >> 24);
 }
 
+/// Acks and reliable data frames: everything the reliable engine consumes.
+bool reliable_frame(const net::MessageHeader& h) {
+  return h.tag == net::kAckTagBase || h.tag >= net::kMpTagBase;
+}
+
 }  // namespace
 
 void Comm::post_ack(NodeId dst, std::uint32_t seq) {
@@ -309,140 +296,97 @@ void Comm::post_ack(NodeId dst, std::uint32_t seq) {
   // fault-free reliable run keeps the exact timing of the unreliable path.
   std::vector<std::uint8_t> payload(4);
   write_seq(payload.data(), seq);
-  const VirtualUs stamp =
-      t_clock_get() != nullptr ? t_clock_get()->now() : 0.0;
+  const auto* clock = vtime::thread_clock();
+  const VirtualUs stamp = clock != nullptr ? clock->now() : 0.0;
   (void)channel_.send(dst, net::kAckTagBase, std::move(payload), stamp);
+}
+
+std::optional<net::Message> Comm::rel_absorb(net::Message msg) {
+  if (msg.header.tag == net::kAckTagBase) {
+    if (msg.payload.size() == 4) rel_unacked_.erase(read_seq(msg.payload));
+    return std::nullopt;
+  }
+  // Reliable data frame: [seq:4][app payload].
+  if (msg.payload.size() < 4) return std::nullopt;  // malformed; drop
+  const std::uint32_t seq = read_seq(msg.payload);
+  post_ack(msg.header.src, seq);  // always re-ack, even duplicates
+  if (rel_seen_.seen_or_insert(net::seq_key(msg.header.src, seq))) {
+    return std::nullopt;
+  }
+  return msg;
 }
 
 Status Comm::rel_pump(bool want_data, NodeId want_src, Tag want_tag,
                       std::uint32_t want_ack_seq, net::Message* out) {
-  const net::RetryPolicy& retry = reliability_.retry;
-  int attempts = 1;
-  for (;;) {
-    if (!want_data && rel_unacked_.count(want_ack_seq) == 0) {
-      return Status::ok();
-    }
-    if (want_data) {
-      for (auto it = rel_stash_.begin(); it != rel_stash_.end(); ++it) {
-        if (it->header.tag == want_tag &&
-            (want_src == kAnyNode || it->header.src == want_src)) {
+  const auto wanted = [&](const net::Message& m) {
+    return m.header.tag == want_tag &&
+           (want_src == kAnyNode || m.header.src == want_src);
+  };
+  const auto wait_once = [&](std::chrono::milliseconds timeout) {
+    for (;;) {
+      if (!want_data && rel_unacked_.count(want_ack_seq) == 0) {
+        return net::WaitOutcome::kDone;
+      }
+      if (want_data) {
+        const auto it =
+            std::find_if(rel_stash_.begin(), rel_stash_.end(), wanted);
+        if (it != rel_stash_.end()) {
           *out = std::move(*it);
           rel_stash_.erase(it);
-          return Status::ok();
+          return net::WaitOutcome::kDone;
         }
       }
-    }
-
-    auto msg = channel_.inbox().recv_match_for(
-        [](const net::MessageHeader& h) {
-          return h.tag == net::kAckTagBase || h.tag >= net::kMpTagBase;
-        },
-        retry.timeout());
-    if (!msg.has_value()) {
-      if (channel_.inbox().closed()) {
-        return make_error(ErrorCode::kUnavailable, "channel closed");
+      auto msg = channel_.inbox().recv_match_for(reliable_frame, timeout);
+      if (!msg.has_value()) {
+        return channel_.inbox().closed() ? net::WaitOutcome::kClosed
+                                         : net::WaitOutcome::kTimedOut;
       }
-      if (attempts >= retry.max_attempts) {
-        // Unhealed partition: dump the trace ring before reporting, so the
-        // message chain leading up to the silence is preserved.
-        obs::Registry::instance().flight_record("mp.partition");
-        return make_error(ErrorCode::kUnavailable,
-                          want_data ? "peer silent past the retry budget"
-                                    : "message never acked: peer unreachable");
+      auto fresh = rel_absorb(std::move(*msg));
+      if (!fresh.has_value()) continue;
+      charge_arrival(*fresh);
+      fresh->payload.erase(fresh->payload.begin(), fresh->payload.begin() + 4);
+      if (want_data && wanted(*fresh)) {
+        *out = std::move(*fresh);
+        return net::WaitOutcome::kDone;
       }
-      ++attempts;
-      for (const auto& entry : rel_unacked_) {
-        const PendingSend& pending = entry.second;
-        metrics_.retries->add();
-        (void)channel_.send(pending.dst, pending.wire_tag, pending.payload,
-                            pending.stamp);
-      }
-      continue;
+      rel_stash_.push_back(std::move(*fresh));
     }
-
-    if (msg->header.tag == net::kAckTagBase) {
-      if (msg->payload.size() == 4) rel_unacked_.erase(read_seq(msg->payload));
-      continue;
+  };
+  const auto resend = [&] {
+    for (const auto& entry : rel_unacked_) {
+      const PendingSend& pending = entry.second;
+      metrics_.retries->add();
+      (void)channel_.send(pending.dst, pending.wire_tag, pending.payload,
+                          pending.stamp);
     }
-
-    // Reliable data frame: [seq:4][app payload].
-    if (msg->payload.size() < 4) continue;  // malformed; drop
-    const std::uint32_t seq = read_seq(msg->payload);
-    post_ack(msg->header.src, seq);  // always re-ack, even duplicates
-    if (rel_seen_.seen_or_insert(net::seq_key(msg->header.src, seq))) {
-      continue;
-    }
-    if (t_clock_get() != nullptr) {
-      t_clock_get()->sync_cpu();
-      t_clock_get()->merge(msg->header.vtime +
-                           model_.transfer_us(msg->payload.size()));
-      t_clock_get()->add(model_.recv_overhead_us);
-    }
-    msg->payload.erase(msg->payload.begin(), msg->payload.begin() + 4);
-    if (want_data && msg->header.tag == want_tag &&
-        (want_src == kAnyNode || msg->header.src == want_src)) {
-      *out = std::move(*msg);
-      return Status::ok();
-    }
-    rel_stash_.push_back(std::move(*msg));
-  }
+  };
+  return retry_.run("mp.partition", wait_once, resend);
 }
 
 void Comm::quiesce() {
-  if (!reliability_.enabled) return;
-  const net::RetryPolicy& retry = reliability_.retry;
   // A peer stuck in an ack-wait retransmits once per timeout, so "silent for
   // three timeouts" means nobody is currently retrying against us. Bound the
   // total linger by the retry budget so a chattering link cannot pin us.
   int quiet_windows = 0;
-  for (int spent = 0; quiet_windows < 3 && spent < retry.max_attempts;
+  for (int spent = 0; quiet_windows < 3 && spent < retry_.max_attempts;
        ++spent) {
-    auto msg = channel_.inbox().recv_match_for(
-        [](const net::MessageHeader& h) {
-          return h.tag == net::kAckTagBase || h.tag >= net::kMpTagBase;
-        },
-        retry.timeout());
+    auto msg =
+        channel_.inbox().recv_match_for(reliable_frame, retry_.timeout());
     if (!msg.has_value()) {
       if (channel_.inbox().closed()) return;
       ++quiet_windows;
       continue;
     }
     quiet_windows = 0;
-    if (msg->header.tag == net::kAckTagBase) {
-      if (msg->payload.size() == 4) rel_unacked_.erase(read_seq(msg->payload));
-      continue;
-    }
-    if (msg->payload.size() < 4) continue;
-    const std::uint32_t seq = read_seq(msg->payload);
-    post_ack(msg->header.src, seq);
-    // Record unseen frames too: the program is over, so the payload is
-    // dead — but the ack we just sent must stay idempotent if it reappears.
-    (void)rel_seen_.seen_or_insert(net::seq_key(msg->header.src, seq));
+    // Unseen frames are recorded too: the program is over, so the payload is
+    // dead — but the ack just sent must stay idempotent if it reappears.
+    (void)rel_absorb(std::move(*msg));
   }
 }
 
 Status Comm::rel_send(NodeId dst, Tag wire_tag, const void* data,
                       std::size_t bytes) {
-  if (!reliability_.enabled) {
-    // Degraded mode: a plain send whose channel error is reported instead of
-    // logged-and-dropped.
-    VirtualUs stamp = 0.0;
-    if (t_clock_get() != nullptr) {
-      t_clock_get()->sync_cpu();
-      t_clock_get()->add(model_.send_overhead_us);
-      stamp = t_clock_get()->now();
-    }
-    std::vector<std::uint8_t> payload(bytes);
-    if (bytes > 0) std::memcpy(payload.data(), data, bytes);
-    return channel_.send(dst, wire_tag, std::move(payload), stamp);
-  }
-
-  VirtualUs stamp = 0.0;
-  if (t_clock_get() != nullptr) {
-    t_clock_get()->sync_cpu();
-    t_clock_get()->add(model_.send_overhead_us);
-    stamp = t_clock_get()->now();
-  }
+  const VirtualUs stamp = vtime::charge_send(model_.send_overhead_us);
   const std::uint32_t seq = ++rel_seq_;
   std::vector<std::uint8_t> payload(bytes + 4);
   write_seq(payload.data(), seq);
@@ -457,25 +401,6 @@ Status Comm::rel_send(NodeId dst, Tag wire_tag, const void* data,
 }
 
 Status Comm::rel_recv(NodeId src, Tag wire_tag, net::Message* out) {
-  if (!reliability_.enabled) {
-    // Degraded mode: bounded wait, no framing.
-    const net::RetryPolicy& retry = reliability_.retry;
-    const auto total =
-        retry.timeout() * std::max(1, retry.max_attempts);
-    auto outcome = channel_.inbox().recv_match_from(
-        src,
-        [&](const net::MessageHeader& h) { return h.tag == wire_tag; },
-        total);
-    if (!outcome.message.has_value()) return outcome.status;
-    if (t_clock_get() != nullptr) {
-      t_clock_get()->sync_cpu();
-      t_clock_get()->merge(outcome.message->header.vtime +
-                           model_.transfer_us(outcome.message->payload.size()));
-      t_clock_get()->add(model_.recv_overhead_us);
-    }
-    *out = std::move(*outcome.message);
-    return Status::ok();
-  }
   return rel_pump(/*want_data=*/true, src, wire_tag, 0, out);
 }
 
@@ -501,11 +426,7 @@ Status Comm::try_recv(NodeId src, Tag tag, void* buffer, std::size_t capacity,
   }
   if (!m.payload.empty()) std::memcpy(buffer, m.payload.data(),
                                       m.payload.size());
-  if (status != nullptr) {
-    status->source = m.header.src;
-    status->tag = m.header.tag - net::kMpTagBase;
-    status->bytes = m.payload.size();
-  }
+  fill_status(m, status);
   return Status::ok();
 }
 

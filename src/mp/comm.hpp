@@ -43,23 +43,13 @@ struct RecvStatus {
   std::size_t bytes = 0;
 };
 
-/// Opt-in reliable-delivery mode for the try_* operations: every data message
-/// carries a 4-byte sequence prefix, the receiver acks it on the dedicated
-/// ack tag (net::kAckTagBase) and suppresses duplicates, and the sender
-/// retransmits unacked messages whenever a bounded wait times out. With
-/// `enabled == false` the try_* operations degrade to their unreliable
-/// counterparts (no framing, no acks) and simply report channel errors.
-struct Reliability {
-  bool enabled = false;
-  net::RetryPolicy retry{};
-};
-
 class Comm {
  public:
   /// `topology` carries this node's rank, the cluster size, and the tree
-  /// fan-out. Must agree with the channel's rank/size (checked).
+  /// fan-out. Must agree with the channel's rank/size (checked). `retry`
+  /// bounds every wait of the try_* family.
   Comm(const Topology& topology, net::Channel& channel,
-       vtime::NetworkModel model, Reliability reliability = {});
+       vtime::NetworkModel model, net::RetryPolicy retry = {});
 
   NodeId rank() const { return topo_.rank; }
   int size() const { return topo_.nodes; }
@@ -114,15 +104,16 @@ class Comm {
   // ---- reliable / fault-tolerant variants ----
   //
   // These return Status instead of aborting: a peer that stays unreachable
-  // past the retry budget yields kUnavailable rather than a hang. When
-  // Reliability.enabled they run over the seq+ack wire protocol described on
-  // struct Reliability, surviving message drops and duplicates.
+  // past the retry budget yields kUnavailable rather than a hang. They always
+  // run over a seq+ack wire protocol that survives message drops and
+  // duplicates: every data message carries a 4-byte sequence prefix, the
+  // receiver acks it on the dedicated ack tag (net::kAckTagBase) and
+  // suppresses duplicates, and the sender retransmits unacked messages
+  // whenever a bounded wait times out (net::RetryPolicy::run).
   //
   // Contract: reliable operations must be issued by one thread per node at a
   // time (same as collectives), and every node of the job must use the try_*
   // family consistently — plain send()/recv() bypass the seq framing.
-
-  const Reliability& reliability() const { return reliability_; }
 
   /// Reliable send: blocks until `dst` acked the message (retransmitting on
   /// timeout) or the retry budget is exhausted. Incoming data that arrives
@@ -157,15 +148,21 @@ class Comm {
   void reduce_with(void* buffer, std::size_t bytes, NodeId root, Tag tag,
                    const std::function<void(void*, const void*)>& combine);
   void count_collective(obs::Counter* which, std::size_t payload_bytes);
+  /// Charges a received message to the bound clock: CPU since the last
+  /// event, causality merge with the sender's stamp, receive overhead.
+  void charge_arrival(const net::Message& message);
 
-  // Reliable wire engine (see Reliability). rel_pump is the single progress
-  // loop: it consumes acks, acks + dedupes + stashes data, retransmits the
-  // unacked window on timeout, and returns when its goal is met.
+  // Reliable wire engine (see the try_* family). rel_pump is the single
+  // progress loop: each wait of retry_.run consumes acks and stashes fresh
+  // data until its goal is met; each timeout retransmits the unacked window.
   Status rel_send(NodeId dst, Tag wire_tag, const void* data,
                   std::size_t bytes);
   Status rel_recv(NodeId src, Tag wire_tag, net::Message* out);
   Status rel_pump(bool want_data, NodeId want_src, Tag want_tag,
                   std::uint32_t want_ack_seq, net::Message* out);
+  /// Consumes an ack, or acks + dedupes a data frame; returns the data
+  /// frame (seq still attached) only when it was not seen before.
+  std::optional<net::Message> rel_absorb(net::Message msg);
   void post_ack(NodeId dst, std::uint32_t seq);
   Status try_reduce_with(void* buffer, std::size_t bytes, NodeId root, Tag tag,
                          const std::function<void(void*, const void*)>& combine);
@@ -173,7 +170,7 @@ class Comm {
   net::Channel& channel_;
   Topology topo_;
   vtime::NetworkModel model_;
-  Reliability reliability_;
+  net::RetryPolicy retry_;
   std::atomic<std::uint32_t> collective_seq_{0};
 
   // Reliable-mode state; touched only under the one-reliable-op-at-a-time

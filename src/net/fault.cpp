@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/env.hpp"
+#include "obs/registry.hpp"
 
 namespace parade::net {
 namespace {
@@ -146,6 +147,15 @@ RetryPolicy RetryPolicy::from_env() {
   policy.max_attempts = static_cast<int>(
       env::get_int_or("PARADE_RETRY_MAX", policy.max_attempts));
   return policy;
+}
+
+Status RetryPolicy::exhausted(const char* reason) {
+  // Unhealed partition or dead channel: dump the trace ring before reporting,
+  // so the message chain leading up to the silence is preserved.
+  obs::Registry::instance().flight_record(reason);
+  return make_error(ErrorCode::kUnavailable,
+                    std::string(reason) +
+                        ": no answer within the retry budget");
 }
 
 }  // namespace parade::net

@@ -1,4 +1,4 @@
-// Deterministic fault-injection plans and the retry knobs the DSM/MP layers
+// Deterministic fault-injection plans and the retry policy the DSM/MP layers
 // use to survive them.
 //
 // A FaultPlan describes per-link misbehaviour — drop probability, bounded
@@ -75,10 +75,14 @@ struct FaultPlan {
 /// fault kind, recoverable by the stock retry policy.
 FaultPlan default_chaos_plan(std::uint64_t seed);
 
-/// Timeout/bounded-retry knobs shared by the DSM protocol loops and the MP
-/// reliable wire layer. Defaults are deliberately generous so fault-free runs
-/// never trip a spurious retransmission (several tests assert exact protocol
-/// counts); chaos tests shorten them explicitly.
+/// What one bounded wait inside RetryPolicy::run saw.
+enum class WaitOutcome { kDone, kTimedOut, kClosed };
+
+/// Timeout/bounded-retry knobs shared by the DSM protocol exchanges and the
+/// MP reliable wire layer, and run(), the one retransmit loop both use.
+/// Defaults are deliberately generous so fault-free runs never trip a
+/// spurious retransmission (several tests assert exact protocol counts);
+/// chaos tests shorten them explicitly.
 struct RetryPolicy {
   int timeout_ms = 2000;
   int max_attempts = 30;
@@ -89,6 +93,25 @@ struct RetryPolicy {
 
   /// Applies PARADE_RETRY_TIMEOUT_MS / PARADE_RETRY_MAX on top of defaults.
   static RetryPolicy from_env();
+
+  /// Calls `wait_once(timeout())`, a wait of at most one timeout, until it
+  /// reports kDone, with `resend()` after each kTimedOut. After max_attempts
+  /// timed-out waits, or on kClosed, dumps a flight record named `reason`
+  /// and returns kUnavailable.
+  template <typename WaitOnce, typename Resend>
+  Status run(const char* reason, WaitOnce wait_once, Resend resend) const {
+    for (int waits = 1;; ++waits) {
+      const WaitOutcome outcome = wait_once(timeout());
+      if (outcome == WaitOutcome::kDone) return Status::ok();
+      if (outcome == WaitOutcome::kClosed || waits >= max_attempts) {
+        return exhausted(reason);
+      }
+      resend();
+    }
+  }
+
+ private:
+  static Status exhausted(const char* reason);
 };
 
 /// splitmix64: the counter-based generator behind every per-link stream.

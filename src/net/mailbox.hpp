@@ -10,7 +10,9 @@
 // Fault awareness: transports that learn a peer is gone (e.g. a SocketFabric
 // reader hitting EOF) call mark_peer_down(); receivers waiting specifically
 // on that peer wake immediately and observe kUnavailable instead of blocking
-// forever. Timed receives (recv_match_for) underpin the DSM/MP retry loops.
+// forever. Timed receives (recv_match_for) are the waits that
+// net::RetryPolicy::run bounds for the DSM exchanges and the MP reliable
+// layer.
 #pragma once
 
 #include <chrono>

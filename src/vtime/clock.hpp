@@ -64,6 +64,17 @@ class ThreadClock {
   double scale_;
 };
 
+/// Stamps an outgoing message on the calling thread's clock: charges the CPU
+/// time since the last event plus `overhead_us`, and returns the send time
+/// (0 when the thread runs untimed).
+inline VirtualUs charge_send(VirtualUs overhead_us) {
+  ThreadClock* clock = thread_clock();
+  if (clock == nullptr) return 0.0;
+  clock->sync_cpu();
+  clock->add(overhead_us);
+  return clock->now();
+}
+
 /// Thread-safe per-node ledger of communication-thread CPU consumption within
 /// the current synchronization phase. When the comm thread does not have a
 /// dedicated CPU, the phase total is charged to the node's compute timeline

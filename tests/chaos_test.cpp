@@ -5,11 +5,16 @@
 // faults actually happened and the retry machinery absorbed them.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <random>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "dsm/cluster.hpp"
@@ -212,6 +217,43 @@ TEST(Chaos, HealingPartitionRecovers) {
   EXPECT_EQ(memory, baseline.memory);
   EXPECT_GT(partition_dropped, 0) << "the partition window never engaged";
   EXPECT_GT(retries, 0);
+}
+
+// A partition that never heals ends every DSM exchange the same way: the
+// one retry loop spends its budget, dumps a dsm.partition flight record, and
+// the process dies naming the exchange. Lock 0 is homed on node 0, so rank
+// 1's acquire is a pure inbox exchange (no SIGSEGV path).
+TEST(ChaosDeathTest, UnhealedPartitionDumpsFlightRecordThenDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // A fixed name: the threadsafe-style child re-runs this body in a fresh
+  // process and must arrive at the same path. Under the launcher's
+  // per-process naming, rank 1 dumps to <stem>.rank1.json.
+  const std::filesystem::path dir = ::testing::TempDir();
+  const std::filesystem::path flight = dir / "parade-dsm-partition.rank1.json";
+  std::filesystem::remove(flight);
+
+  const auto acquire_across_partition = [&] {
+    ::setenv("PARADE_FLIGHT_PATH", (dir / "parade-dsm-partition.json").c_str(),
+             1);
+    ::setenv("PARADE_RANK", "1", 1);
+    DsmConfig config;
+    config.pool_bytes = 4 * kPageBytes;
+    config.retry = net::RetryPolicy{.timeout_ms = 20, .max_attempts = 3};
+    net::FaultPlan faults;
+    faults.seed = 5;
+    faults.partitions.push_back(
+        net::PartitionEvent{0, 1, 0, std::nullopt, false});
+    DsmCluster cluster(Topology::cluster(2), config, faults);
+    cluster.node(1).lock_acquire(0);
+  };
+  EXPECT_DEATH(acquire_across_partition(), "lock grant");
+
+  std::ifstream in(flight);
+  ASSERT_TRUE(in.good()) << "no flight record at " << flight;
+  std::stringstream body;
+  body << in.rdbuf();
+  EXPECT_NE(body.str().find("flight:dsm.partition"), std::string::npos);
+  std::filesystem::remove(flight);
 }
 
 }  // namespace

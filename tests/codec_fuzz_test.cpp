@@ -2,7 +2,9 @@
 // trailing garbage, or have corrupted length prefixes. try_decode must reject
 // them with a Status — never crash, never allocate from a hostile length
 // prefix — and WireBuffer must validate counts against the bytes actually
-// present before reserving memory.
+// present before reserving memory. Frames that decode but name pages, locks
+// or diff runs outside a live node's tables must be dropped by its comm
+// thread, not abort it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "common/serialize.hpp"
+#include "dsm/cluster.hpp"
 #include "dsm/notice.hpp"
 #include "dsm/protocol.hpp"
 
@@ -232,6 +235,55 @@ TEST(CodecFuzz, WireBufferStringValidatesBeforeAllocating) {
   // rewind clears the failure latch.
   reader.rewind();
   EXPECT_TRUE(reader.ok());
+}
+
+TEST(LiveNodeFuzz, OutOfRangeFramesAreDroppedAndBarrierCompletes) {
+  DsmConfig config;
+  config.pool_bytes = 4 * config.page_bytes;
+  DsmCluster cluster(Topology::cluster(2), config, net::FaultPlan{});
+  const auto pages = static_cast<PageId>(config.num_pages());
+  const auto page_bytes = static_cast<std::uint32_t>(config.page_bytes);
+
+  // A run that starts in the page but ends past it.
+  WireBuffer overrun;
+  overrun.put<std::uint32_t>(page_bytes - 4);
+  overrun.put<std::uint32_t>(8);
+  overrun.put_bytes("01234567", 8);
+  const std::vector<std::pair<Tag, std::vector<std::uint8_t>>> frames = {
+      {kTagDiff, codec<DiffMsg>::encode({pages, {}, 1})},
+      {kTagDiff, codec<DiffMsg>::encode({-1, {}, 2})},
+      {kTagDiff, codec<DiffMsg>::encode({0, std::move(overrun).take(), 3})},
+      {kTagDiff, codec<DiffMsg>::encode({0, {1, 2, 3}, 4})},  // cut header
+      {kTagPageRequest, codec<PageRequestMsg>::encode({pages, 1})},
+      {kTagPageRequest, codec<PageRequestMsg>::encode({-1, 2})},
+      {kTagPageReply,
+       codec<PageReplyMsg>::encode(
+           {pages, std::vector<std::uint8_t>(config.page_bytes), 1, 0})},
+      {kTagLockAcquire, codec<LockAcquireMsg>::encode({kMaxDsmLocks, 1})},
+      {kTagLockAcquire, codec<LockAcquireMsg>::encode({-1, 2})},
+      {kTagLockRelease, codec<LockReleaseMsg>::encode({kMaxDsmLocks, {}, 3})},
+      {kTagLockRelease, codec<LockReleaseMsg>::encode({0, {pages}, 4})},
+  };
+  for (const auto& [tag, payload] : frames) {
+    ASSERT_TRUE(cluster.channel(1).send(0, tag, payload, 0.0).is_ok());
+  }
+
+  // The comm thread handles frames in arrival order, so once rank 1's
+  // barrier arrival is through, every bad frame before it was dropped.
+  cluster.run([&](NodeId rank) {
+    cluster.node(rank).barrier();
+    if (rank == 1) {
+      cluster.node(rank).lock_acquire(0);
+      cluster.node(rank).lock_release(0);
+    }
+  });
+  // Nothing was answered: no diff ack, grant or release ack is left over.
+  EXPECT_FALSE(cluster.channel(1).inbox().try_recv_match(
+      [](const net::MessageHeader& h) {
+        return h.tag == kTagDiffAck || h.tag >= kTagLockGrantBase;
+      }));
+  EXPECT_EQ(cluster.node(0).stats().snapshot().diffs_applied, 0);
+  cluster.shutdown();
 }
 
 }  // namespace

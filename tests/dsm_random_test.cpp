@@ -170,7 +170,9 @@ TEST_P(TwinDiffRoundTrip, AppliesBackExactly) {
     ASSERT_EQ(buffer.size(), 4 + diff_bytes);
     EXPECT_TRUE(std::equal(reference.begin(), reference.end(),
                            buffer.bytes().begin() + 4));
-    if (s.writes == 0 && !s.full_page) EXPECT_EQ(diff_bytes, 0u);
+    if (s.writes == 0 && !s.full_page) {
+      EXPECT_EQ(diff_bytes, 0u);
+    }
 
     ASSERT_TRUE(apply_diff(home.data(), kPageBytes,
                            buffer.bytes().data() + 4, diff_bytes));

@@ -397,7 +397,9 @@ TEST(CrossRegion, AllPingPongPhasesDemotePreferUpdate) {
   EXPECT_FALSE(h->prefer_update);
   for (const PhaseHint& ph : p.analysis.hints.phases) {
     for (const PhaseRange& r : ph.ranges) {
-      if (r.symbol == "pair") EXPECT_FALSE(r.prefer_update);
+      if (r.symbol == "pair") {
+        EXPECT_FALSE(r.prefer_update);
+      }
     }
   }
 }

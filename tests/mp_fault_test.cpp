@@ -18,16 +18,15 @@
 namespace parade::mp {
 namespace {
 
-Reliability chaos_reliability() {
-  Reliability rel;
-  rel.enabled = true;
-  rel.retry.timeout_ms = 30;
-  rel.retry.max_attempts = 200;
-  return rel;
+net::RetryPolicy chaos_retry() {
+  net::RetryPolicy retry;
+  retry.timeout_ms = 30;
+  retry.max_attempts = 200;
+  return retry;
 }
 
 /// Runs `body(rank, comm)` on one thread per rank over a FaultyFabric.
-void run_ranks(int n, const net::FaultPlan& plan, Reliability rel,
+void run_ranks(int n, const net::FaultPlan& plan, net::RetryPolicy retry,
                const std::function<void(NodeId, Comm&)>& body) {
   auto& reg = obs::Registry::instance();
   for (NodeId r = 0; r < n; ++r) reg.reset_node(r);
@@ -36,7 +35,7 @@ void run_ranks(int n, const net::FaultPlan& plan, Reliability rel,
   std::vector<std::unique_ptr<Comm>> comms;
   for (NodeId r = 0; r < n; ++r) {
     comms.push_back(std::make_unique<Comm>(
-        Topology::flat(r, n), fabric.channel(r), vtime::NetworkModel{}, rel));
+        Topology::flat(r, n), fabric.channel(r), vtime::NetworkModel{}, retry));
   }
   std::vector<std::thread> threads;
   for (NodeId r = 0; r < n; ++r) {
@@ -68,7 +67,7 @@ TEST(MpFault, P2pDeliversInOrderAcrossDropsAndDups) {
   plan.reorder_p = 0.05;
   constexpr int kMessages = 24;
 
-  run_ranks(2, plan, chaos_reliability(), [&](NodeId rank, Comm& comm) {
+  run_ranks(2, plan, chaos_retry(), [&](NodeId rank, Comm& comm) {
     if (rank == 0) {
       for (std::uint32_t i = 0; i < kMessages; ++i) {
         ASSERT_TRUE(comm.try_send(1, /*tag=*/7, &i, sizeof(i)).is_ok());
@@ -97,7 +96,7 @@ TEST(MpFault, CollectivesSurviveChaos) {
   constexpr int kNodes = 3;
   constexpr int kRounds = 6;
 
-  run_ranks(kNodes, plan, chaos_reliability(), [&](NodeId rank, Comm& comm) {
+  run_ranks(kNodes, plan, chaos_retry(), [&](NodeId rank, Comm& comm) {
     for (int round = 0; round < kRounds; ++round) {
       std::int64_t value = rank == 0 ? 1000 + round : -1;
       ASSERT_TRUE(comm.try_bcast(&value, sizeof(value), /*root=*/0).is_ok());
@@ -122,7 +121,7 @@ TEST(MpFault, PartitionThenHealRecovers) {
   plan.partitions.push_back(net::PartitionEvent{0, 1, 4, 40, false});
   constexpr int kMessages = 8;
 
-  run_ranks(2, plan, chaos_reliability(), [&](NodeId rank, Comm& comm) {
+  run_ranks(2, plan, chaos_retry(), [&](NodeId rank, Comm& comm) {
     if (rank == 0) {
       for (std::uint32_t i = 0; i < kMessages; ++i) {
         ASSERT_TRUE(comm.try_send(1, /*tag=*/3, &i, sizeof(i)).is_ok());
@@ -145,7 +144,7 @@ TEST(MpFault, BcastAcrossHealingPartition) {
   plan.partitions.push_back(net::PartitionEvent{0, 1, 2, 30, false});
   constexpr int kNodes = 3;
 
-  run_ranks(kNodes, plan, chaos_reliability(), [&](NodeId rank, Comm& comm) {
+  run_ranks(kNodes, plan, chaos_retry(), [&](NodeId rank, Comm& comm) {
     for (int round = 0; round < 4; ++round) {
       std::int64_t value = rank == 0 ? 77 + round : -1;
       ASSERT_TRUE(comm.try_bcast(&value, sizeof(value), /*root=*/0).is_ok());
@@ -160,12 +159,12 @@ TEST(MpFault, UnhealedPartitionReturnsStatusInsteadOfHanging) {
   plan.partitions.push_back(
       net::PartitionEvent{0, 1, 0, std::nullopt, false});  // never heals
 
-  Reliability rel;
-  rel.enabled = true;
-  rel.retry.timeout_ms = 20;
-  rel.retry.max_attempts = 5;  // fail fast: the point is the Status, not retry depth
+  net::RetryPolicy retry;
+  retry.timeout_ms = 20;
+  // Fail fast: the point is the Status, not retry depth.
+  retry.max_attempts = 5;
 
-  run_ranks(2, plan, rel, [&](NodeId rank, Comm& comm) {
+  run_ranks(2, plan, retry, [&](NodeId rank, Comm& comm) {
     if (rank == 0) {
       const std::uint32_t v = 42;
       const Status s = comm.try_send(1, /*tag=*/5, &v, sizeof(v));
@@ -188,7 +187,7 @@ TEST(MpFault, InertPlanIsPassThrough) {
   // With no faults configured the reliable path must neither retry nor
   // perturb payloads.
   net::FaultPlan inert;  // inactive
-  run_ranks(2, inert, chaos_reliability(), [&](NodeId rank, Comm& comm) {
+  run_ranks(2, inert, chaos_retry(), [&](NodeId rank, Comm& comm) {
     if (rank == 0) {
       const std::uint64_t v = 0xdeadbeefcafef00dull;
       ASSERT_TRUE(comm.try_send(1, /*tag=*/1, &v, sizeof(v)).is_ok());

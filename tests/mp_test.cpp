@@ -100,12 +100,16 @@ TEST(PointToPoint, Wildcards) {
 TEST(PointToPoint, TryRecv) {
   run_ranks(2, [](Comm& comm) {
     if (comm.rank() == 0) {
+      // Rank 1 sends only after the first barrier, which cannot complete
+      // before this probe.
       EXPECT_FALSE(comm.try_recv_bytes(1, 3).has_value());
       comm.barrier();
-      // After the barrier the message must have been sent.
+      comm.barrier();
+      // After the second barrier the message must have been sent.
       while (!comm.try_recv_bytes(1, 3).has_value()) {
       }
     } else {
+      comm.barrier();
       const int v = 5;
       comm.send(0, 3, &v, sizeof(v));
       comm.barrier();

@@ -4,11 +4,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <set>
 #include <thread>
 
+#include "net/fault.hpp"
 #include "net/inproc.hpp"
 #include "net/mailbox.hpp"
 #include "net/socket.hpp"
@@ -124,6 +127,60 @@ TEST(Mailbox, PeerDownLeavesOtherPeersAlone) {
       std::chrono::milliseconds(10));
   EXPECT_FALSE(outcome.message.has_value());
   EXPECT_EQ(outcome.status.code(), ErrorCode::kTimeout);
+}
+
+// RetryPolicy::run is the one retransmit loop of the DSM and MP layers; the
+// exact call counts below are its contract.
+struct RunCounts {
+  int waits = 0;
+  int resends = 0;
+  std::chrono::milliseconds timeout{0};
+};
+
+Status run_with(const RetryPolicy& policy, RunCounts& counts,
+                const std::function<WaitOutcome(int)>& outcome_of_wait) {
+  return policy.run(
+      "net_test.retry",
+      [&](std::chrono::milliseconds timeout) {
+        counts.timeout = timeout;
+        return outcome_of_wait(++counts.waits);
+      },
+      [&] { ++counts.resends; });
+}
+
+TEST(RetryPolicyRun, TimeoutsExhaustTheBudget) {
+  const RetryPolicy policy{.timeout_ms = 7, .max_attempts = 4};
+  RunCounts counts;
+  const Status s =
+      run_with(policy, counts, [](int) { return WaitOutcome::kTimedOut; });
+  EXPECT_EQ(s.code(), ErrorCode::kUnavailable);
+  EXPECT_NE(s.message().find("net_test.retry"), std::string::npos);
+  EXPECT_EQ(counts.waits, 4);
+  EXPECT_EQ(counts.resends, 3);
+  EXPECT_EQ(counts.timeout, std::chrono::milliseconds(7));
+}
+
+TEST(RetryPolicyRun, ClosedOnFirstWaitGivesUpWithoutResend) {
+  const RetryPolicy policy{.timeout_ms = 7, .max_attempts = 4};
+  RunCounts counts;
+  const Status s =
+      run_with(policy, counts, [](int) { return WaitOutcome::kClosed; });
+  EXPECT_EQ(s.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(counts.waits, 1);
+  EXPECT_EQ(counts.resends, 0);
+}
+
+TEST(RetryPolicyRun, DoneAfterKTimeoutsResendsKTimes) {
+  const RetryPolicy policy{.timeout_ms = 7, .max_attempts = 4};
+  for (int k = 0; k < policy.max_attempts; ++k) {
+    RunCounts counts;
+    const Status s = run_with(policy, counts, [k](int wait) {
+      return wait > k ? WaitOutcome::kDone : WaitOutcome::kTimedOut;
+    });
+    EXPECT_TRUE(s.is_ok()) << "k=" << k << ": " << s.to_string();
+    EXPECT_EQ(counts.waits, k + 1);
+    EXPECT_EQ(counts.resends, k);
+  }
 }
 
 TEST(InProc, DeliversAcrossChannels) {

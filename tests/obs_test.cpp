@@ -524,7 +524,9 @@ TEST(SpanPropagation, SurvivesDropAndReorderFaults) {
   // fetch still links, and no span ends before it begins.
   EXPECT_TRUE(has_cross_node_fetch_link(events));
   for (const TraceEvent& e : events) {
-    if (e.end_wall_ns != 0) EXPECT_GE(e.end_wall_ns, e.wall_ns);
+    if (e.end_wall_ns != 0) {
+      EXPECT_GE(e.end_wall_ns, e.wall_ns);
+    }
   }
 }
 

@@ -252,7 +252,9 @@ std::int64_t run_phased_scenario(std::optional<std::uint64_t> fault_seed) {
     EXPECT_EQ(node.home_of(page), 0);  // sole writer vetoed
     // Only the writer re-reads here: other ranks checking the value would
     // race with the epoch-2 write below.
-    if (rank == 1) EXPECT_EQ(*data, 7);
+    if (rank == 1) {
+      EXPECT_EQ(*data, 7);
+    }
     // Epoch 2: the phase prior overrides (relaxes) the whole-program pin.
     EXPECT_TRUE(node.prior_allows_migration(page));
     if (rank == 1) *data = 8;
