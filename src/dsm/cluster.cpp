@@ -7,36 +7,18 @@
 
 namespace parade::dsm {
 
-DsmCluster::DsmCluster(const Topology& topology, DsmConfig config)
-    : fabric_(topology.nodes) {
-  init(topology, config, net::FaultPlan::from_env());
-}
-
 DsmCluster::DsmCluster(const Topology& topology, DsmConfig config,
-                       net::FaultPlan faults)
-    : fabric_(topology.nodes) {
-  init(topology, config, std::move(faults));
-}
-
-void DsmCluster::init(const Topology& topology, const DsmConfig& config,
-                      std::optional<net::FaultPlan> faults) {
-  const int size = topology.nodes;
-  if (faults && faults->active()) {
-    auto epoch = std::make_shared<std::atomic<std::int64_t>>(0);
-    faulty_.reserve(static_cast<std::size_t>(size));
-    for (NodeId rank = 0; rank < size; ++rank) {
-      faulty_.push_back(std::make_unique<net::FaultyChannel>(
-          fabric_.channel(rank), *faults, epoch));
-    }
-  }
+                       const std::optional<net::FaultPlan>& faults)
+    : fabric_(topology.nodes, faults) {
   // One registry across the whole in-process cluster: ranks share page
   // frames CoW-style instead of eagerly copying twins.
   auto twins = std::make_shared<TwinRegistry>(config.num_pages(),
-                                              config.page_bytes, size);
-  nodes_.reserve(static_cast<std::size_t>(size));
-  for (NodeId rank = 0; rank < size; ++rank) {
+                                              config.page_bytes,
+                                              topology.nodes);
+  nodes_.reserve(static_cast<std::size_t>(topology.nodes));
+  for (NodeId rank = 0; rank < topology.nodes; ++rank) {
     auto node = std::make_unique<DsmNode>(topology.with_rank(rank),
-                                          channel(rank), config);
+                                          fabric_.channel(rank), config);
     node->set_twin_registry(twins);
     Status s = node->start();
     PARADE_CHECK_MSG(s.is_ok(), s.message());
@@ -63,8 +45,10 @@ void DsmCluster::shutdown() {
     if (node) node->shutdown();
   }
   fabric_.shutdown();
-  // DSM-only workloads (chaos_test and friends) get metrics/trace dumps too;
-  // no-op unless PARADE_METRICS / PARADE_TRACE_OUT are set.
+  // Every in-process run (tests, benches, apps) exports here; no-op unless
+  // PARADE_METRICS / PARADE_TRACE_OUT are set. Benches that run several
+  // clusters re-export with their own label afterwards, which simply
+  // overwrites this file with the final state.
   obs::Registry::instance().export_if_configured("dsm_cluster");
 }
 

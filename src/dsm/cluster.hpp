@@ -1,7 +1,10 @@
-// DsmCluster: the in-process virtual cluster — N DsmNodes over an
-// InProcFabric, each with its own protected pool view. This is the substrate
-// the tests and figure benches run on; the parade_run launcher provides the
-// equivalent multi-process deployment over SocketFabric.
+// DsmCluster: the in-process virtual cluster — N DsmNodes over one
+// net::FaultyFabric, each with its own protected pool view, sharing one
+// TwinRegistry so twins alias the home's frame copy-on-write. It is the only
+// code that builds an in-process cluster: the tests and DSM benches use it
+// directly, and VirtualCluster (runtime/cluster.hpp) adds a Comm and a Team
+// per rank on top. The parade_run launcher provides the equivalent
+// multi-process deployment over SocketFabric.
 #pragma once
 
 #include <functional>
@@ -11,7 +14,6 @@
 
 #include "dsm/node.hpp"
 #include "net/faulty.hpp"
-#include "net/inproc.hpp"
 
 namespace parade::dsm {
 
@@ -19,35 +21,27 @@ class DsmCluster {
  public:
   /// The cluster-level Topology (rank ignored) carries the node count and
   /// barrier-tree fan-out; each node gets `topology.with_rank(r)`. Faults
-  /// are injected when PARADE_FAULT_SEED / PARADE_FAULT_PLAN are set.
-  explicit DsmCluster(const Topology& topology, DsmConfig config = {});
-  /// Same, with an explicit fault plan (chaos tests; overrides the env).
-  DsmCluster(const Topology& topology, DsmConfig config, net::FaultPlan faults);
+  /// are injected when `faults` is an active plan; by default it is read
+  /// from PARADE_FAULT_SEED / PARADE_FAULT_PLAN. Every node is started.
+  explicit DsmCluster(
+      const Topology& topology, DsmConfig config = {},
+      const std::optional<net::FaultPlan>& faults = net::FaultPlan::from_env());
   ~DsmCluster();
 
   int size() const { return static_cast<int>(nodes_.size()); }
   DsmNode& node(NodeId rank) { return *nodes_[static_cast<std::size_t>(rank)]; }
-  /// The channel a node sends through: the fault decorator when a plan is
-  /// active, the raw fabric channel otherwise.
-  net::Channel& channel(NodeId rank) {
-    if (!faulty_.empty()) return *faulty_[static_cast<std::size_t>(rank)];
-    return fabric_.channel(rank);
-  }
 
   /// Runs `fn(rank)` on one fresh thread per node and joins them. Exceptions
   /// escaping `fn` abort (the protocol cannot unwind mid-barrier).
   void run(const std::function<void(NodeId)>& fn);
 
-  /// Orderly teardown: nodes first (their comm threads drain), then fabric.
+  /// Orderly teardown: nodes first (their comm threads drain), then the
+  /// fabric, then the metrics export (PARADE_METRICS / PARADE_TRACE_OUT).
+  /// Idempotent.
   void shutdown();
 
  private:
-  void init(const Topology& topology, const DsmConfig& config,
-            std::optional<net::FaultPlan> faults);
-
-  net::InProcFabric fabric_;
-  /// One decorator per rank when a fault plan is active; empty otherwise.
-  std::vector<std::unique_ptr<net::FaultyChannel>> faulty_;
+  net::FaultyFabric fabric_;
   std::vector<std::unique_ptr<DsmNode>> nodes_;
 };
 

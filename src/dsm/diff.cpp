@@ -1,5 +1,6 @@
 #include "dsm/diff.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/status.hpp"
@@ -18,6 +19,12 @@ std::uint32_t read_u32(const std::uint8_t* p) {
   std::memcpy(&value, p, 4);
   return value;
 }
+
+bool page_ok(PageId page, std::size_t num_pages) {
+  return page >= 0 && static_cast<std::size_t>(page) < num_pages;
+}
+
+bool node_ok(NodeId node, int nodes) { return node >= 0 && node < nodes; }
 
 }  // namespace
 
@@ -108,6 +115,22 @@ bool diff_well_formed(std::size_t page_bytes, const std::uint8_t* diff,
     pos += length;
   }
   return true;
+}
+
+bool ids_in_range(const BarrierDepartMsg& depart, std::size_t num_pages,
+                  int nodes) {
+  return std::all_of(
+      depart.entries.begin(), depart.entries.end(), [&](const DepartEntry& e) {
+        return page_ok(e.page, num_pages) && node_ok(e.new_home, nodes) &&
+               (e.sole_modifier == kAnyNode || node_ok(e.sole_modifier, nodes));
+      });
+}
+
+bool ids_in_range(const LockGrantMsg& grant, std::size_t num_pages, int nodes) {
+  return std::all_of(
+      grant.notices.begin(), grant.notices.end(), [&](const WriteNotice& n) {
+        return page_ok(n.page, num_pages) && node_ok(n.modifier, nodes);
+      });
 }
 
 bool apply_diff(std::uint8_t* target, std::size_t page_bytes,

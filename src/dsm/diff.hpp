@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/serialize.hpp"
+#include "dsm/protocol.hpp"
 
 namespace parade::dsm {
 
@@ -35,6 +36,15 @@ std::size_t append_diff(WireBuffer& out, const std::uint8_t* current,
 /// of `page_bytes`.
 bool diff_well_formed(std::size_t page_bytes, const std::uint8_t* diff,
                       std::size_t diff_bytes);
+
+/// True when every page a barrier departure or lock grant names is in
+/// [0, num_pages) and every node in [0, nodes); a departure's sole_modifier
+/// may also be kAnyNode. Application threads apply these entries straight
+/// to the page table, so a frame that fails this is refused like a
+/// malformed one.
+bool ids_in_range(const BarrierDepartMsg& depart, std::size_t num_pages,
+                  int nodes);
+bool ids_in_range(const LockGrantMsg& grant, std::size_t num_pages, int nodes);
 
 /// Applies an encoded diff onto `target` (a page of `page_bytes`).
 /// Returns false, leaving `target` untouched, if the diff is not

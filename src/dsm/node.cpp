@@ -646,6 +646,11 @@ void DsmNode::barrier() {
           auto depart_r = codec<BarrierDepartMsg>::try_decode(msg.payload);
           if (!depart_r.is_ok()) return false;  // malformed frame off the wire
           BarrierDepartMsg got = std::move(depart_r).value();
+          if (!ids_in_range(got, config_.num_pages(), size())) {
+            PLOG_WARN("dropping barrier departure naming an out-of-range "
+                      "page or node");
+            return false;
+          }
           const auto action = rules::classify_barrier_depart(got.epoch, epoch_);
           if (action == rules::DepartAction::kIgnoreStale) return false;
           PARADE_CHECK_MSG(action == rules::DepartAction::kProcess,
@@ -846,6 +851,11 @@ void DsmNode::lock_acquire(int lock_id) {
         [&](const net::Message& msg) {
           auto grant_r = codec<LockGrantMsg>::try_decode(msg.payload);
           if (!grant_r.is_ok()) return false;  // malformed frame off the wire
+          if (!ids_in_range(grant_r.value(), config_.num_pages(), size())) {
+            PLOG_WARN("dropping lock grant naming an out-of-range page or "
+                      "node");
+            return false;
+          }
           // Duplicate grant of an older acquire: drop and keep waiting.
           if (!rules::accept_response_seq(seq, grant_r.value().seq)) {
             return false;

@@ -64,6 +64,9 @@ class DsmNode {
   int size() const { return topo_.nodes; }
   const Topology& topology() const { return topo_; }
   const DsmConfig& config() const { return config_; }
+  /// The channel this node sends through; the runtime's Comm shares it
+  /// (disjoint tag classes).
+  net::Channel& channel() { return channel_; }
 
   /// Application view base of the shared pool (fault-managed).
   std::byte* base() const { return mapping_->app_view(); }

@@ -124,17 +124,20 @@ Status FaultyChannel::send(NodeId dst, Tag tag,
   return result;
 }
 
-FaultyFabric::FaultyFabric(int size, FaultPlan plan) : inner_(size) {
+FaultyFabric::FaultyFabric(int size, const std::optional<FaultPlan>& plan)
+    : inner_(size) {
+  if (!plan || !plan->active()) return;
   auto epoch = std::make_shared<std::atomic<std::int64_t>>(0);
   channels_.reserve(static_cast<std::size_t>(size));
   for (NodeId rank = 0; rank < size; ++rank) {
     channels_.push_back(
-        std::make_unique<FaultyChannel>(inner_.channel(rank), plan, epoch));
+        std::make_unique<FaultyChannel>(inner_.channel(rank), *plan, epoch));
   }
 }
 
 Channel& FaultyFabric::channel(NodeId rank) {
   PARADE_CHECK(rank >= 0 && rank < size());
+  if (channels_.empty()) return inner_.channel(rank);
   return *channels_[static_cast<std::size_t>(rank)];
 }
 

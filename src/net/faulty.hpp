@@ -21,9 +21,11 @@
 // shutdown and loopback control traffic that has no retry path.
 //
 // With an inactive plan FaultyChannel is a strict pass-through — same calls,
-// same bytes, zero extra state — which is what lets it stay permanently in
-// the stack (DsmCluster / VirtualCluster / ProcessRuntime wrap their fabric
-// whenever PARADE_FAULT_SEED or PARADE_FAULT_PLAN is set).
+// same bytes, zero extra state. FaultyFabric is the one place that wraps an
+// in-process fabric: dsm::DsmCluster, and through it VirtualCluster, builds
+// its channels here, and gets the raw InProcFabric channels when no plan (or
+// an inactive one) is given. ProcessRuntime wraps its one socket channel
+// directly. Both read the plan from PARADE_FAULT_SEED / PARADE_FAULT_PLAN.
 //
 // Injected faults are surfaced per sending node as obs counters:
 //   net.fault.dropped / .partition_dropped / .duplicated / .reordered /
@@ -89,20 +91,21 @@ class FaultyChannel final : public Channel {
   Metrics metrics_;
 };
 
-/// In-process fabric with fault injection: wraps an InProcFabric and hands
-/// out FaultyChannel views of its channels.
+/// In-process fabric with optional fault injection: wraps an InProcFabric
+/// and hands out FaultyChannel views of its channels when `plan` is active,
+/// the raw channels otherwise. All views share one barrier-epoch estimate.
 class FaultyFabric {
  public:
-  FaultyFabric(int size, FaultPlan plan);
+  FaultyFabric(int size, const std::optional<FaultPlan>& plan);
 
   int size() const { return inner_.size(); }
   Channel& channel(NodeId rank);
-  InProcFabric& inner() { return inner_; }
 
   void shutdown() { inner_.shutdown(); }
 
  private:
   InProcFabric inner_;
+  /// One decorator per rank when the plan is active; empty otherwise.
   std::vector<std::unique_ptr<FaultyChannel>> channels_;
 };
 

@@ -1,57 +1,30 @@
 #include "runtime/cluster.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/env.hpp"
-#include "common/log.hpp"
 #include "obs/registry.hpp"
 
 namespace parade {
 
 VirtualCluster::VirtualCluster(const RuntimeConfig& config)
-    : fabric_(config.nodes) {
-  if (const auto faults = net::FaultPlan::from_env();
-      faults && faults->active()) {
-    auto epoch = std::make_shared<std::atomic<std::int64_t>>(0);
-    faulty_.reserve(static_cast<std::size_t>(config.nodes));
-    for (NodeId rank = 0; rank < config.nodes; ++rank) {
-      faulty_.push_back(std::make_unique<net::FaultyChannel>(
-          fabric_.channel(rank), *faults, epoch));
-    }
-  }
+    : dsm_(Topology::cluster(config.nodes, config.barrier_fanout), config.dsm) {
   nodes_.reserve(static_cast<std::size_t>(config.nodes));
   for (NodeId rank = 0; rank < config.nodes; ++rank) {
-    auto node = std::make_unique<NodeRuntime>(channel(rank), config);
-    Status s = node->start();
-    PARADE_CHECK_MSG(s.is_ok(), s.message());
-    nodes_.push_back(std::move(node));
+    nodes_.push_back(std::make_unique<NodeRuntime>(dsm_.node(rank), config));
   }
 }
 
-VirtualCluster::~VirtualCluster() { shutdown(); }
-
 VirtualUs VirtualCluster::exec(const std::function<void()>& program) {
-  std::vector<std::thread> mains;
-  mains.reserve(nodes_.size());
-  for (auto& node : nodes_) {
-    mains.emplace_back([&node, &program] { node->main_entry(program); });
-  }
-  for (auto& main : mains) main.join();
+  dsm_.run([&](NodeId rank) { node(rank).main_entry(program); });
   VirtualUs slowest = 0.0;
   for (auto& node : nodes_) slowest = std::max(slowest, node->final_vtime());
   return slowest;
 }
 
 void VirtualCluster::shutdown() {
-  for (auto& node : nodes_) {
-    if (node) node->shutdown();
-  }
-  fabric_.shutdown();
-  // All nodes quiesced; dump metrics if PARADE_METRICS is set. Benches that
-  // run several clusters re-export with their own label afterwards, which
-  // simply overwrites this file with the final state.
-  obs::Registry::instance().export_if_configured("virtual_cluster");
+  for (auto& node : nodes_) node->shutdown();
+  dsm_.shutdown();
 }
 
 Result<std::unique_ptr<ProcessRuntime>> ProcessRuntime::from_env() {
@@ -78,13 +51,17 @@ Result<std::unique_ptr<ProcessRuntime>> ProcessRuntime::from_env() {
         std::make_unique<net::FaultyChannel>(*runtime->fabric_, *faults);
     channel = runtime->faulty_.get();
   }
-  runtime->node_ = std::make_unique<NodeRuntime>(*channel, config);
-  if (Status s = runtime->node_->start(); !s) return s;
+  runtime->dsm_ = std::make_unique<dsm::DsmNode>(
+      Topology{static_cast<NodeId>(*rank), config.nodes, config.barrier_fanout},
+      *channel, config.dsm);
+  if (Status s = runtime->dsm_->start(); !s) return s;
+  runtime->node_ = std::make_unique<NodeRuntime>(*runtime->dsm_, config);
   return runtime;
 }
 
 ProcessRuntime::~ProcessRuntime() {
   if (node_) node_->shutdown();
+  if (dsm_) dsm_->shutdown();
   if (fabric_) fabric_->shutdown();
   // Rank-suffixed under PARADE_RANK, so launcher processes do not clobber
   // one another's exports.

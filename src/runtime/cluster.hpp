@@ -1,22 +1,24 @@
 // Top-level runners.
 //
-// VirtualCluster: the default substrate — N nodes in one process over the
-// in-proc fabric, each with its own protected pool view. exec() runs the
-// same program on every node's main thread (redundant serial execution) and
-// reports the slowest node's virtual time, which is what the figure benches
-// plot as "execution time".
+// VirtualCluster: the default substrate — N nodes in one process. It is a
+// dsm::DsmCluster (fabric, fault injection from PARADE_FAULT_*, shared twin
+// registry, node threads, ordered shutdown and metrics export) plus one
+// NodeRuntime (Comm + Team) per rank. exec() runs the same program on every
+// node's main thread (redundant serial execution) and reports the slowest
+// node's virtual time, which is what the figure benches plot as "execution
+// time".
 //
 // ProcessRuntime: one node per OS process over Unix-domain sockets; created
 // from the PARADE_RANK / PARADE_SIZE / PARADE_SOCKDIR environment the
-// parade_run launcher sets up.
+// parade_run launcher sets up. It owns its one DsmNode.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "dsm/cluster.hpp"
 #include "net/faulty.hpp"
-#include "net/inproc.hpp"
 #include "net/socket.hpp"
 #include "runtime/node_runtime.hpp"
 
@@ -25,27 +27,20 @@ namespace parade {
 class VirtualCluster {
  public:
   explicit VirtualCluster(const RuntimeConfig& config);
-  ~VirtualCluster();
 
-  int size() const { return static_cast<int>(nodes_.size()); }
+  int size() const { return dsm_.size(); }
   NodeRuntime& node(NodeId rank) { return *nodes_[static_cast<std::size_t>(rank)]; }
 
   /// Runs `program` on every node's main thread; returns the maximum final
   /// virtual time across nodes (µs).
   VirtualUs exec(const std::function<void()>& program);
 
+  /// Stops the teams, then shuts the DsmCluster down. Idempotent; the
+  /// destructor tears down in the same order (members in reverse).
   void shutdown();
 
  private:
-  net::Channel& channel(NodeId rank) {
-    if (!faulty_.empty()) return *faulty_[static_cast<std::size_t>(rank)];
-    return fabric_.channel(rank);
-  }
-
-  net::InProcFabric fabric_;
-  /// Fault decorators, populated when PARADE_FAULT_SEED / PARADE_FAULT_PLAN
-  /// select an active plan; empty (zero overhead) otherwise.
-  std::vector<std::unique_ptr<net::FaultyChannel>> faulty_;
+  dsm::DsmCluster dsm_;
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
 };
 
@@ -67,6 +62,7 @@ class ProcessRuntime {
   /// Fault decorator over the socket fabric (PARADE_FAULT_*); null when
   /// faults are disabled.
   std::unique_ptr<net::FaultyChannel> faulty_;
+  std::unique_ptr<dsm::DsmNode> dsm_;
   std::unique_ptr<NodeRuntime> node_;
 };
 

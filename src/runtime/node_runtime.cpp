@@ -66,29 +66,19 @@ RuntimeConfig runtime_config_from_env() {
   return config;
 }
 
-NodeRuntime::NodeRuntime(net::Channel& channel, const RuntimeConfig& config)
-    : config_(config) {
+NodeRuntime::NodeRuntime(dsm::DsmNode& dsm, const RuntimeConfig& config)
+    : config_(config), dsm_(dsm) {
   // One Topology value per node, shared by every layer: the DSM barrier tree,
   // the communicator, and the thread team all see the same shape.
-  const Topology topology{channel.rank(), channel.size(),
-                          config_.barrier_fanout};
-  dsm_ = std::make_unique<dsm::DsmNode>(topology, channel, config_.dsm);
-  comm_ = std::make_unique<mp::Comm>(topology, channel, config_.dsm.net);
+  const Topology& topology = dsm_.topology();
+  comm_ = std::make_unique<mp::Comm>(topology, dsm_.channel(), config_.dsm.net);
   team_ = std::make_unique<Team>(*this, topology, config_.threads_per_node);
+  team_->start();
 }
 
 NodeRuntime::~NodeRuntime() { shutdown(); }
 
-Status NodeRuntime::start() {
-  if (Status s = dsm_->start(); !s) return s;
-  team_->start();
-  return Status::ok();
-}
-
-void NodeRuntime::shutdown() {
-  if (team_) team_->stop();
-  if (dsm_) dsm_->shutdown();
-}
+void NodeRuntime::shutdown() { team_->stop(); }
 
 void NodeRuntime::main_entry(const std::function<void()>& program) {
   logging::set_thread_node_tag(node_id());

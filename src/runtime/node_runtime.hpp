@@ -1,6 +1,8 @@
-// NodeRuntime: everything one cluster node owns — the DSM engine, the
+// NodeRuntime: what the runtime adds to one cluster node's DSM engine — the
 // message-passing communicator (sharing the node's channel with the DSM's
-// communication thread via disjoint tag classes), and the thread team.
+// communication thread via disjoint tag classes) and the thread team. The
+// DsmNode belongs to whoever built it: dsm::DsmCluster in VirtualCluster,
+// ProcessRuntime in a launcher process.
 #pragma once
 
 #include <atomic>
@@ -17,24 +19,25 @@ namespace parade {
 
 class NodeRuntime {
  public:
-  NodeRuntime(net::Channel& channel, const RuntimeConfig& config);
+  /// `dsm` must be started and outlive this runtime. Starts the team.
+  NodeRuntime(dsm::DsmNode& dsm, const RuntimeConfig& config);
   ~NodeRuntime();
 
-  Status start();
+  /// Stops the team (idempotent); the DsmNode is its owner's to shut down.
   void shutdown();
 
   /// Runs `program` as this node's main thread (local thread 0 outside
   /// parallel regions). Installs the thread context for the duration.
   void main_entry(const std::function<void()>& program);
 
-  NodeId node_id() const { return dsm_->rank(); }
-  int num_nodes() const { return dsm_->size(); }
+  NodeId node_id() const { return dsm_.rank(); }
+  int num_nodes() const { return dsm_.size(); }
   /// The cluster shape every layer of this node was built with.
-  const Topology& topology() const { return dsm_->topology(); }
+  const Topology& topology() const { return dsm_.topology(); }
   int threads_per_node() const { return config_.threads_per_node; }
   const RuntimeConfig& config() const { return config_; }
 
-  dsm::DsmNode& dsm() { return *dsm_; }
+  dsm::DsmNode& dsm() { return dsm_; }
   mp::Comm& comm() { return *comm_; }
   Team& team() { return *team_; }
 
@@ -51,7 +54,7 @@ class NodeRuntime {
  private:
   std::atomic<int> lock_id_counter_{0};
   RuntimeConfig config_;
-  std::unique_ptr<dsm::DsmNode> dsm_;
+  dsm::DsmNode& dsm_;
   std::unique_ptr<mp::Comm> comm_;
   std::unique_ptr<Team> team_;
   VirtualUs final_vtime_ = 0.0;

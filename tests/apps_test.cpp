@@ -63,8 +63,13 @@ TEST(CgApp, ParadeMatchesSerial) {
   apps::CgResult parade_result;
   VirtualCluster cluster(test_config(2, 2));
   cluster.exec([&] { parade_result = apps::cg_parade(params); });
+  const auto remote = cluster.node(1).dsm().stats().snapshot();
   cluster.shutdown();
   EXPECT_NEAR(parade_result.zeta, serial.zeta, 1e-6 * std::abs(serial.zeta));
+  // Apps run the zero-copy data path: VirtualCluster is a DsmCluster, whose
+  // ranks share one twin registry, so a write fault on a fetched page
+  // aliases the home's frame instead of copying it.
+  EXPECT_GT(remote.twins_shared, 0);
 }
 
 TEST(HelmholtzApp, SerialSolvesEquation) {

@@ -2,9 +2,9 @@
 // trailing garbage, or have corrupted length prefixes. try_decode must reject
 // them with a Status — never crash, never allocate from a hostile length
 // prefix — and WireBuffer must validate counts against the bytes actually
-// present before reserving memory. Frames that decode but name pages, locks
-// or diff runs outside a live node's tables must be dropped by its comm
-// thread, not abort it.
+// present before reserving memory. Frames that decode but name pages, locks,
+// nodes or diff runs outside a live node's tables must be dropped — by its
+// comm thread, or by the barrier and lock waits — not abort it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 
 #include "common/serialize.hpp"
 #include "dsm/cluster.hpp"
+#include "dsm/diff.hpp"
 #include "dsm/notice.hpp"
 #include "dsm/protocol.hpp"
 
@@ -265,11 +266,25 @@ TEST(LiveNodeFuzz, OutOfRangeFramesAreDroppedAndBarrierCompletes) {
       {kTagLockRelease, codec<LockReleaseMsg>::encode({0, {pages}, 4})},
   };
   for (const auto& [tag, payload] : frames) {
-    ASSERT_TRUE(cluster.channel(1).send(0, tag, payload, 0.0).is_ok());
+    ASSERT_TRUE(cluster.node(1).channel().send(0, tag, payload, 0.0).is_ok());
+  }
+  // Forged as rank 0 and queued for the waits on rank 1's app thread: an
+  // epoch-0 departure naming a page past the table, and grants carrying the
+  // seq (1) of rank 1's first lock acquire — it sends no diff or lock
+  // message before it — with a page or a modifier out of range.
+  const std::vector<std::pair<Tag, std::vector<std::uint8_t>>> forged = {
+      {kTagBarrierDepart,
+       codec<BarrierDepartMsg>::encode({0, 0.0, {{pages, 0, kAnyNode}}})},
+      {kTagLockGrantBase, codec<LockGrantMsg>::encode({0, {{pages, 0}}, 1})},
+      {kTagLockGrantBase, codec<LockGrantMsg>::encode({0, {{0, 2}}, 1})},
+  };
+  for (const auto& [tag, payload] : forged) {
+    ASSERT_TRUE(cluster.node(0).channel().send(1, tag, payload, 0.0).is_ok());
   }
 
   // The comm thread handles frames in arrival order, so once rank 1's
-  // barrier arrival is through, every bad frame before it was dropped.
+  // barrier arrival is through, every bad frame before it was dropped. The
+  // barrier and the lock wait refuse the forged frames and keep waiting.
   cluster.run([&](NodeId rank) {
     cluster.node(rank).barrier();
     if (rank == 1) {
@@ -277,13 +292,41 @@ TEST(LiveNodeFuzz, OutOfRangeFramesAreDroppedAndBarrierCompletes) {
       cluster.node(rank).lock_release(0);
     }
   });
-  // Nothing was answered: no diff ack, grant or release ack is left over.
-  EXPECT_FALSE(cluster.channel(1).inbox().try_recv_match(
+  // Nothing was answered: no diff ack, grant or release ack is left over,
+  // and the real departure and grant were the ones taken.
+  EXPECT_FALSE(cluster.node(1).channel().inbox().try_recv_match(
       [](const net::MessageHeader& h) {
-        return h.tag == kTagDiffAck || h.tag >= kTagLockGrantBase;
+        return h.tag == kTagDiffAck || h.tag == kTagBarrierDepart ||
+               h.tag >= kTagLockGrantBase;
       }));
   EXPECT_EQ(cluster.node(0).stats().snapshot().diffs_applied, 0);
   cluster.shutdown();
+}
+
+TEST(CodecFuzz, IdsInRangeChecksEveryDepartureAndGrantId) {
+  constexpr std::size_t kPages = 8;
+  constexpr int kNodes = 3;
+  const auto depart = [](DepartEntry entry) {
+    return BarrierDepartMsg{0, 0.0, {{0, 0, kAnyNode}, entry}};
+  };
+  EXPECT_TRUE(ids_in_range(depart({7, 2, 1}), kPages, kNodes));
+  EXPECT_TRUE(ids_in_range(depart({7, 2, kAnyNode}), kPages, kNodes));
+  EXPECT_FALSE(ids_in_range(depart({8, 0, kAnyNode}), kPages, kNodes));
+  EXPECT_FALSE(ids_in_range(depart({-1, 0, kAnyNode}), kPages, kNodes));
+  EXPECT_FALSE(ids_in_range(depart({0, 3, kAnyNode}), kPages, kNodes));
+  EXPECT_FALSE(ids_in_range(depart({0, -1, kAnyNode}), kPages, kNodes));
+  EXPECT_FALSE(ids_in_range(depart({0, 0, 3}), kPages, kNodes));
+  EXPECT_FALSE(ids_in_range(depart({0, 0, -2}), kPages, kNodes));
+
+  const auto grant = [](WriteNotice notice) {
+    return LockGrantMsg{0, {{1, 0}, notice}, 1};
+  };
+  EXPECT_TRUE(ids_in_range(grant({7, 2}), kPages, kNodes));
+  EXPECT_TRUE(ids_in_range(LockGrantMsg{}, kPages, kNodes));
+  EXPECT_FALSE(ids_in_range(grant({8, 0}), kPages, kNodes));
+  EXPECT_FALSE(ids_in_range(grant({-1, 0}), kPages, kNodes));
+  EXPECT_FALSE(ids_in_range(grant({0, 3}), kPages, kNodes));
+  EXPECT_FALSE(ids_in_range(grant({0, kAnyNode}), kPages, kNodes));
 }
 
 }  // namespace

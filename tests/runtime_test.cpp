@@ -1,6 +1,8 @@
 // OpenMP runtime layer: fork-join, worksharing schedules (property: every
 // iteration executed exactly once across the cluster), hybrid sync
-// constructs, conventional-SDSM constructs, and the omp_* shims.
+// constructs, conventional-SDSM constructs, and the omp_* shims. The
+// RuntimeChaos case (ctest runtime_chaos_test, label tier2-chaos) runs a
+// runtime program under the PARADE_FAULT_* environment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +10,9 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <vector>
 
+#include "obs/registry.hpp"
 #include "runtime/api.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/omp_shim.hpp"
@@ -311,6 +315,74 @@ TEST(Runtime, ProcessModeConfigFromEnv) {
   unsetenv("PARADE_THREADS");
   unsetenv("PARADE_SYNC_MODE");
   unsetenv("PARADE_HOME_MIGRATION");
+}
+
+struct FaultEnvResult {
+  std::vector<std::vector<std::uint64_t>> memory;  ///< per node: a then b
+  std::int64_t injected = 0;    ///< sum of net.fault.injected
+  std::int64_t violations = 0;  ///< sum of dsm.invariant.violations
+};
+
+/// A DSM-only runtime program on a 2x2 VirtualCluster built while
+/// PARADE_FAULT_SEED is `fault_seed` (unset when null): each round every
+/// thread rewrites its static slice of `a`, then folds the opposite node's
+/// slice of `a` into `b`, so each round fetches remote pages and sends diffs
+/// home. Parallel loops and runtime barriers only — no MP collective, whose
+/// plain receive has no retransmit (docs/FAULT_INJECTION.md). Afterwards
+/// every node reads the whole pool.
+FaultEnvResult run_fault_env_program(const char* fault_seed) {
+  constexpr long kWords = 8 * 4096 / sizeof(std::uint64_t);
+  constexpr int kRounds = 6;
+  constexpr int kNodes = 2;
+  RuntimeConfig config = config_of(kNodes, 2);
+  config.dsm.retry.timeout_ms = 50;
+  config.dsm.retry.max_attempts = 400;
+  if (fault_seed != nullptr) setenv("PARADE_FAULT_SEED", fault_seed, 1);
+  VirtualCluster cluster(config);
+  unsetenv("PARADE_FAULT_SEED");
+
+  FaultEnvResult result;
+  result.memory.resize(kNodes);
+  cluster.exec([&] {
+    auto* a = shmalloc_array<std::uint64_t>(kWords);
+    auto* b = shmalloc_array<std::uint64_t>(kWords);
+    for (int round = 0; round < kRounds; ++round) {
+      parallel_for(0, kWords, [&](long lo, long hi) {
+        for (long i = lo; i < hi; ++i) {
+          a[i] = a[i] * 3 + static_cast<std::uint64_t>(i + round);
+        }
+      });
+      parallel_for(0, kWords, [&](long lo, long hi) {
+        for (long i = lo; i < hi; ++i) b[i] += a[(i + kWords / 2) % kWords];
+      });
+    }
+    auto& memory = result.memory[static_cast<std::size_t>(node_id())];
+    memory.assign(a, a + kWords);
+    memory.insert(memory.end(), b, b + kWords);
+  });
+  auto& reg = obs::Registry::instance();
+  for (NodeId n = 0; n < kNodes; ++n) {
+    result.injected += reg.counter(n, "net.fault.injected").value();
+    result.violations += reg.counter(n, "dsm.invariant.violations").value();
+  }
+  cluster.shutdown();
+  return result;
+}
+
+// VirtualCluster reads the fault plan from the environment through
+// DsmCluster: seed 7's default chaos mix must fire, and the program must
+// still end with the fault-free pool on every node, with no invariant
+// violation (checked online in a -DPARADE_CHECKED=ON build).
+TEST(RuntimeChaos, VirtualClusterHonoursFaultEnv) {
+  const FaultEnvResult clean = run_fault_env_program(nullptr);
+  ASSERT_EQ(clean.injected, 0);
+  const FaultEnvResult chaotic = run_fault_env_program("7");
+  EXPECT_GT(chaotic.injected, 0) << "the fault plan never fired";
+  EXPECT_EQ(chaotic.violations, 0);
+  for (std::size_t n = 0; n < chaotic.memory.size(); ++n) {
+    EXPECT_EQ(clean.memory[n], clean.memory[0]) << "node " << n;
+    EXPECT_EQ(chaotic.memory[n], clean.memory[0]) << "node " << n;
+  }
 }
 
 }  // namespace
