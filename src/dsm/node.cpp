@@ -653,8 +653,11 @@ void DsmNode::barrier() {
           }
           const auto action = rules::classify_barrier_depart(got.epoch, epoch_);
           if (action == rules::DepartAction::kIgnoreStale) return false;
-          PARADE_CHECK_MSG(action == rules::DepartAction::kProcess,
-                           "barrier departure from a future epoch");
+          if (action == rules::DepartAction::kImpossibleFuture) {
+            PLOG_WARN("dropping barrier departure from future epoch "
+                      << got.epoch << " (at " << epoch_ << ")");
+            return false;
+          }
           if (clock != nullptr) {
             clock->merge(got.departure_vtime +
                          config_.net.transfer_us(msg.payload.size()));

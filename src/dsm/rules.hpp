@@ -236,7 +236,7 @@ constexpr bool arrival_epoch_plausible(
 enum class DepartAction : std::uint8_t {
   kProcess,          ///< departure for the epoch we are waiting on
   kIgnoreStale,      ///< duplicate departure of an older epoch
-  kImpossibleFuture, ///< departure from the future: a protocol bug
+  kImpossibleFuture, ///< departure from the future: a bug or a forged frame
 };
 
 /// Worker-side classification of an incoming BarrierDepart against the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/log.hpp"
 #include "common/status.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -21,16 +20,46 @@ net::Mailbox::Matcher user_match(NodeId src, Tag tag) {
   };
 }
 
+/// Matches one collective frame: its tag from `src`.
+net::Mailbox::Matcher coll_match(NodeId src, Tag tag) {
+  return [src, tag](const net::MessageHeader& h) {
+    return h.tag == tag && h.src == src;
+  };
+}
+
 void fill_status(const net::Message& m, RecvStatus* status) {
   if (status == nullptr) return;
   *status = {m.header.src, m.header.tag - net::kMpTagBase, m.payload.size()};
+}
+
+std::uint32_t read_seq(const std::vector<std::uint8_t>& payload) {
+  return static_cast<std::uint32_t>(payload[0]) |
+         static_cast<std::uint32_t>(payload[1]) << 8 |
+         static_cast<std::uint32_t>(payload[2]) << 16 |
+         static_cast<std::uint32_t>(payload[3]) << 24;
+}
+
+void write_seq(std::uint8_t* out, std::uint32_t seq) {
+  out[0] = static_cast<std::uint8_t>(seq);
+  out[1] = static_cast<std::uint8_t>(seq >> 8);
+  out[2] = static_cast<std::uint8_t>(seq >> 16);
+  out[3] = static_cast<std::uint8_t>(seq >> 24);
+}
+
+/// Acks and data frames: everything the wire engine consumes.
+bool reliable_frame(const net::MessageHeader& h) {
+  return h.tag == net::kAckTagBase || h.tag >= net::kMpTagBase;
 }
 
 }  // namespace
 
 Comm::Comm(const Topology& topology, net::Channel& channel,
            vtime::NetworkModel model, net::RetryPolicy retry)
-    : channel_(channel), topo_(topology), model_(model), retry_(retry) {
+    : channel_(channel),
+      topo_(topology),
+      model_(model),
+      retry_(retry),
+      rel_last_seq_(static_cast<std::size_t>(topology.nodes), 0) {
   PARADE_CHECK_MSG(topo_.valid(), "invalid topology");
   PARADE_CHECK_MSG(topo_.rank == channel.rank() &&
                        topo_.nodes == channel.size(),
@@ -59,25 +88,8 @@ void Comm::count_collective(obs::Counter* which, std::size_t payload_bytes) {
 Tag Comm::next_collective_tag() {
   // All nodes execute collectives in the same order (SPMD), so a simple
   // sequence number yields matching tags everywhere.
-  const std::uint32_t seq =
-      collective_seq_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint32_t seq = collective_seq_++;
   return net::kCollTagBase + static_cast<Tag>(seq & 0x0FFFFFFF);
-}
-
-void Comm::send_wire(NodeId dst, Tag wire_tag, const void* data,
-                     std::size_t bytes) {
-  const VirtualUs stamp = vtime::charge_send(model_.send_overhead_us);
-  std::vector<std::uint8_t> payload(bytes);
-  if (bytes > 0) std::memcpy(payload.data(), data, bytes);
-  if (wire_tag < net::kCollTagBase) {
-    metrics_.p2p_sends->add();
-    metrics_.p2p_send_bytes->add(static_cast<std::int64_t>(bytes));
-  }
-  Status s = channel_.send(dst, wire_tag, std::move(payload), stamp);
-  if (!s.is_ok()) {
-    PLOG_WARN("mp send tag " << wire_tag << " to node " << dst
-                             << " dropped: " << s.to_string());
-  }
 }
 
 void Comm::charge_arrival(const net::Message& message) {
@@ -89,278 +101,96 @@ void Comm::charge_arrival(const net::Message& message) {
   }
 }
 
-net::Message Comm::recv_wire(NodeId src, Tag wire_tag) {
-  obs::ScopedTimer wait(metrics_.recv_wait);
-  auto matched = channel_.inbox().recv_match([&](const net::MessageHeader& h) {
-    return h.tag == wire_tag && (src == kAnyNode || h.src == src);
-  });
-  PARADE_CHECK_MSG(matched.has_value(), "channel closed during recv");
-  charge_arrival(*matched);
-  return std::move(*matched);
-}
-
-void Comm::send(NodeId dst, Tag tag, const void* data, std::size_t bytes) {
-  PARADE_CHECK_MSG(tag >= 0 && tag < net::kCollTagBase - net::kMpTagBase,
-                   "user tag out of range");
-  send_wire(dst, net::kMpTagBase + tag, data, bytes);
-}
-
-RecvStatus Comm::recv(NodeId src, Tag tag, void* buffer, std::size_t bytes) {
-  RecvStatus status;
-  auto payload = recv_bytes(src, tag, &status);
-  PARADE_CHECK_MSG(payload.size() <= bytes, "recv buffer too small");
-  if (!payload.empty()) std::memcpy(buffer, payload.data(), payload.size());
-  return status;
-}
-
-std::vector<std::uint8_t> Comm::recv_bytes(NodeId src, Tag tag,
-                                           RecvStatus* status) {
-  obs::ScopedTimer wait(metrics_.recv_wait);
-  auto matched = channel_.inbox().recv_match(user_match(src, tag));
-  PARADE_CHECK_MSG(matched.has_value(), "channel closed during recv");
-  charge_arrival(*matched);
-  fill_status(*matched, status);
-  return std::move(matched->payload);
-}
-
-std::optional<std::vector<std::uint8_t>> Comm::try_recv_bytes(
-    NodeId src, Tag tag, RecvStatus* status) {
-  auto matched = channel_.inbox().try_recv_match(user_match(src, tag));
-  if (!matched) return std::nullopt;
-  charge_arrival(*matched);
-  fill_status(*matched, status);
-  return std::move(matched->payload);
-}
-
-void Comm::barrier() {
-  count_collective(metrics_.barriers, 0);
-  obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
-  obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
-  const int n = size();
-  if (n == 1) return;
-  const Tag tag = next_collective_tag();
-  // Dissemination barrier: within one barrier every round talks to a distinct
-  // partner, so one tag suffices; the round is identified by the source rank.
-  for (int dist = 1; dist < n; dist <<= 1) {
-    const NodeId to = (rank() + dist) % n;
-    const NodeId from = (rank() - dist % n + n) % n;
-    send_wire(to, tag, nullptr, 0);
-    (void)recv_wire(from, tag);
-  }
-}
-
-void Comm::bcast(void* data, std::size_t bytes, NodeId root) {
-  count_collective(metrics_.bcasts, bytes);
-  obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
-  obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
-  const int n = size();
-  if (n == 1) return;
-  const Tag tag = next_collective_tag();
-  const int relative = (rank() - root + n) % n;
-
-  int mask = 1;
-  while (mask < n) {
-    if ((relative & mask) != 0) {
-      const NodeId src = (rank() - mask + n) % n;
-      net::Message m = recv_wire(src, tag);
-      PARADE_CHECK_MSG(m.payload.size() == bytes, "bcast size mismatch");
-      if (bytes > 0) std::memcpy(data, m.payload.data(), bytes);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (relative + mask < n) {
-      const NodeId dst = (rank() + mask) % n;
-      send_wire(dst, tag, data, bytes);
-    }
-    mask >>= 1;
-  }
-}
-
-void Comm::reduce_with(void* buffer, std::size_t bytes, NodeId root, Tag tag,
-                       const std::function<void(void*, const void*)>& combine) {
-  const int n = size();
-  const int relative = (rank() - root + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if ((relative & mask) == 0) {
-      const int source_rel = relative | mask;
-      if (source_rel < n) {
-        const NodeId source = (source_rel + root) % n;
-        net::Message m = recv_wire(source, tag);
-        PARADE_CHECK_MSG(m.payload.size() == bytes, "reduce size mismatch");
-        combine(buffer, m.payload.data());
-      }
-    } else {
-      const NodeId dst = ((relative & ~mask) + root) % n;
-      send_wire(dst, tag, buffer, bytes);
-      break;
-    }
-    mask <<= 1;
-  }
-}
-
-void Comm::reduce(void* buffer, std::size_t count, DType dtype, Op op,
-                  NodeId root) {
-  count_collective(metrics_.reduces, count * dtype_size(dtype));
-  obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
-  obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
-  if (size() == 1) return;
-  const Tag tag = next_collective_tag();
-  const std::size_t bytes = count * dtype_size(dtype);
-  reduce_with(buffer, bytes, root, tag, [&](void* inout, const void* in) {
-    reduce_inplace(dtype, op, inout, in, count);
-  });
-}
-
-void Comm::allreduce(void* buffer, std::size_t count, DType dtype, Op op) {
-  count_collective(metrics_.allreduces, count * dtype_size(dtype));
-  obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
-  obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
-  reduce(buffer, count, dtype, op, /*root=*/0);
-  bcast(buffer, count * dtype_size(dtype), /*root=*/0);
-}
-
-void Comm::allreduce_user(void* buffer, std::size_t bytes,
-                          const UserReduceFn& fn) {
-  if (size() > 1) {
-    const Tag tag = next_collective_tag();
-    reduce_with(buffer, bytes, /*root=*/0, tag,
-                [&](void* inout, const void* in) { fn(inout, in, bytes); });
-  }
-  bcast(buffer, bytes, /*root=*/0);
-}
-
-void Comm::gather(const void* contribution, std::size_t bytes, void* out,
-                  NodeId root) {
-  count_collective(metrics_.gathers, bytes);
-  obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
-  obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
-  const Tag tag = next_collective_tag();
-  if (rank() == root) {
-    PARADE_CHECK_MSG(out != nullptr, "gather root needs an output buffer");
-    auto* base = static_cast<std::uint8_t*>(out);
-    std::memcpy(base + static_cast<std::size_t>(rank()) * bytes, contribution,
-                bytes);
-    for (int peer = 0; peer < size(); ++peer) {
-      if (peer == root) continue;
-      net::Message m = recv_wire(peer, tag);
-      PARADE_CHECK_MSG(m.payload.size() == bytes, "gather size mismatch");
-      std::memcpy(base + static_cast<std::size_t>(peer) * bytes,
-                  m.payload.data(), bytes);
-    }
-  } else {
-    send_wire(root, tag, contribution, bytes);
-  }
-}
-
-void Comm::allgather(const void* contribution, std::size_t bytes, void* out) {
-  count_collective(metrics_.allgathers, bytes);
-  obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
-  obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
-  gather(contribution, bytes, out, /*root=*/0);
-  bcast(out, bytes * static_cast<std::size_t>(size()), /*root=*/0);
-}
-
 // ---------------------------------------------------------------------------
-// Reliable wire engine (see the try_* family in comm.hpp)
-
-namespace {
-
-std::uint32_t read_seq(const std::vector<std::uint8_t>& payload) {
-  return static_cast<std::uint32_t>(payload[0]) |
-         static_cast<std::uint32_t>(payload[1]) << 8 |
-         static_cast<std::uint32_t>(payload[2]) << 16 |
-         static_cast<std::uint32_t>(payload[3]) << 24;
-}
-
-void write_seq(std::uint8_t* out, std::uint32_t seq) {
-  out[0] = static_cast<std::uint8_t>(seq);
-  out[1] = static_cast<std::uint8_t>(seq >> 8);
-  out[2] = static_cast<std::uint8_t>(seq >> 16);
-  out[3] = static_cast<std::uint8_t>(seq >> 24);
-}
-
-/// Acks and reliable data frames: everything the reliable engine consumes.
-bool reliable_frame(const net::MessageHeader& h) {
-  return h.tag == net::kAckTagBase || h.tag >= net::kMpTagBase;
-}
-
-}  // namespace
+// Wire engine
 
 void Comm::post_ack(NodeId dst, std::uint32_t seq) {
   // Acks are reliability artifacts outside the LogGP cost model: they carry
-  // the current clock (for monotonicity) but charge no overheads, so a
-  // fault-free reliable run keeps the exact timing of the unreliable path.
+  // the current clock (for monotonicity) but charge neither overheads nor
+  // the CPU that posts them, so a fault-free run costs only the model's
+  // send and receive.
   std::vector<std::uint8_t> payload(4);
   write_seq(payload.data(), seq);
-  const auto* clock = vtime::thread_clock();
+  auto* clock = vtime::thread_clock();
+  if (clock != nullptr) clock->sync_cpu();
   const VirtualUs stamp = clock != nullptr ? clock->now() : 0.0;
   (void)channel_.send(dst, net::kAckTagBase, std::move(payload), stamp);
+  if (clock != nullptr) clock->discard_cpu();
 }
 
 std::optional<net::Message> Comm::rel_absorb(net::Message msg) {
   if (msg.header.tag == net::kAckTagBase) {
-    if (msg.payload.size() == 4) rel_unacked_.erase(read_seq(msg.payload));
+    if (rel_unacked_ && msg.payload.size() == 4 &&
+        read_seq(msg.payload) == rel_unacked_->seq) {
+      rel_unacked_.reset();
+    }
     return std::nullopt;
   }
-  // Reliable data frame: [seq:4][app payload].
-  if (msg.payload.size() < 4) return std::nullopt;  // malformed; drop
+  // Data frame: [seq:4][app payload].
+  const NodeId src = msg.header.src;
+  if (msg.payload.size() < 4 || src < 0 || src >= size()) {
+    return std::nullopt;  // malformed; drop
+  }
   const std::uint32_t seq = read_seq(msg.payload);
-  post_ack(msg.header.src, seq);  // always re-ack, even duplicates
-  if (rel_seen_.seen_or_insert(net::seq_key(msg.header.src, seq))) {
-    return std::nullopt;
-  }
+  post_ack(src, seq);  // always re-ack, even duplicates
+  std::uint32_t& last = rel_last_seq_[static_cast<std::size_t>(src)];
+  if (seq <= last) return std::nullopt;
+  last = seq;
+  msg.payload.erase(msg.payload.begin(), msg.payload.begin() + 4);
   return msg;
 }
 
-Status Comm::rel_pump(bool want_data, NodeId want_src, Tag want_tag,
-                      std::uint32_t want_ack_seq, net::Message* out) {
-  const auto wanted = [&](const net::Message& m) {
-    return m.header.tag == want_tag &&
-           (want_src == kAnyNode || m.header.src == want_src);
+net::WaitOutcome Comm::poll(const net::Mailbox::Matcher* want,
+                            std::chrono::milliseconds timeout,
+                            net::Message* out) {
+  const auto deliver = [&](net::Message&& msg) {
+    // Charged on delivery, not on absorption: a frame kept for a later
+    // receive merges into the clock when that receive takes it.
+    charge_arrival(msg);
+    *out = std::move(msg);
+    return net::WaitOutcome::kDone;
   };
-  const auto wait_once = [&](std::chrono::milliseconds timeout) {
-    for (;;) {
-      if (!want_data && rel_unacked_.count(want_ack_seq) == 0) {
-        return net::WaitOutcome::kDone;
-      }
-      if (want_data) {
-        const auto it =
-            std::find_if(rel_stash_.begin(), rel_stash_.end(), wanted);
-        if (it != rel_stash_.end()) {
-          *out = std::move(*it);
-          rel_stash_.erase(it);
-          return net::WaitOutcome::kDone;
-        }
-      }
-      auto msg = channel_.inbox().recv_match_for(reliable_frame, timeout);
-      if (!msg.has_value()) {
-        return channel_.inbox().closed() ? net::WaitOutcome::kClosed
-                                         : net::WaitOutcome::kTimedOut;
-      }
-      auto fresh = rel_absorb(std::move(*msg));
-      if (!fresh.has_value()) continue;
-      charge_arrival(*fresh);
-      fresh->payload.erase(fresh->payload.begin(), fresh->payload.begin() + 4);
-      if (want_data && wanted(*fresh)) {
-        *out = std::move(*fresh);
-        return net::WaitOutcome::kDone;
-      }
-      rel_stash_.push_back(std::move(*fresh));
+  if (want != nullptr) {
+    const auto it = std::find_if(
+        rel_stash_.begin(), rel_stash_.end(),
+        [&](const net::Message& m) { return (*want)(m.header); });
+    if (it != rel_stash_.end()) {
+      net::Message msg = std::move(*it);
+      rel_stash_.erase(it);
+      return deliver(std::move(msg));
     }
-  };
+  }
+  for (;;) {
+    if (want == nullptr && !rel_unacked_) {
+      return net::WaitOutcome::kDone;
+    }
+    auto msg = channel_.inbox().recv_match_for(reliable_frame, timeout);
+    if (!msg.has_value()) {
+      return channel_.inbox().closed() ? net::WaitOutcome::kClosed
+                                       : net::WaitOutcome::kTimedOut;
+    }
+    auto fresh = rel_absorb(std::move(*msg));
+    if (!fresh.has_value()) continue;
+    if (want != nullptr && (*want)(fresh->header)) {
+      return deliver(std::move(*fresh));
+    }
+    rel_stash_.push_back(std::move(*fresh));
+  }
+}
+
+Status Comm::rel_pump(const net::Mailbox::Matcher* want, net::Message* out) {
   const auto resend = [&] {
-    for (const auto& entry : rel_unacked_) {
-      const PendingSend& pending = entry.second;
-      metrics_.retries->add();
-      (void)channel_.send(pending.dst, pending.wire_tag, pending.payload,
-                          pending.stamp);
-    }
+    if (!rel_unacked_) return;
+    metrics_.retries->add();
+    (void)channel_.send(rel_unacked_->dst, rel_unacked_->wire_tag,
+                        rel_unacked_->payload, rel_unacked_->stamp);
   };
-  return retry_.run("mp.partition", wait_once, resend);
+  return retry_.run(
+      "mp.partition",
+      [&](std::chrono::milliseconds timeout) {
+        return poll(want, timeout, out);
+      },
+      resend);
 }
 
 void Comm::quiesce() {
@@ -395,17 +225,26 @@ Status Comm::rel_send(NodeId dst, Tag wire_tag, const void* data,
     return s;
   }
   if (dst == rank()) return Status::ok();  // self-sends cannot be lost
-  rel_unacked_.emplace(seq, PendingSend{dst, wire_tag, std::move(payload),
-                                        stamp});
-  return rel_pump(/*want_data=*/false, kAnyNode, 0, seq, nullptr);
+  rel_unacked_ = PendingSend{seq, dst, wire_tag, std::move(payload), stamp};
+  // The send's own CPU is charged; the wait for its ack, like the ack, is
+  // outside the cost model.
+  auto* clock = vtime::thread_clock();
+  if (clock != nullptr) clock->sync_cpu();
+  Status s = rel_pump(nullptr, nullptr);
+  if (clock != nullptr) clock->discard_cpu();
+  rel_unacked_.reset();  // acked, or abandoned with the spent budget
+  return s;
 }
 
-Status Comm::rel_recv(NodeId src, Tag wire_tag, net::Message* out) {
-  return rel_pump(/*want_data=*/true, src, wire_tag, 0, out);
+Status Comm::rel_recv(const net::Mailbox::Matcher& want, net::Message* out) {
+  obs::ScopedTimer wait(metrics_.recv_wait);
+  return rel_pump(&want, out);
 }
 
-Status Comm::try_send(NodeId dst, Tag tag, const void* data,
-                      std::size_t bytes) {
+// ---------------------------------------------------------------------------
+// Point-to-point
+
+Status Comm::send(NodeId dst, Tag tag, const void* data, std::size_t bytes) {
   PARADE_CHECK_MSG(tag >= 0 && tag < net::kCollTagBase - net::kMpTagBase,
                    "user tag out of range");
   metrics_.p2p_sends->add();
@@ -413,41 +252,55 @@ Status Comm::try_send(NodeId dst, Tag tag, const void* data,
   return rel_send(dst, net::kMpTagBase + tag, data, bytes);
 }
 
-Status Comm::try_recv(NodeId src, Tag tag, void* buffer, std::size_t capacity,
-                      RecvStatus* status) {
-  PARADE_CHECK_MSG(tag >= 0 && tag < net::kCollTagBase - net::kMpTagBase,
-                   "user tag out of range");
+Status Comm::recv(NodeId src, Tag tag, void* buffer, std::size_t capacity,
+                  RecvStatus* status) {
   net::Message m;
-  if (Status s = rel_recv(src, net::kMpTagBase + tag, &m); !s.is_ok()) {
-    return s;
-  }
+  if (Status s = rel_recv(user_match(src, tag), &m); !s.is_ok()) return s;
   if (m.payload.size() > capacity) {
     return make_error(ErrorCode::kOutOfRange, "recv buffer too small");
   }
-  if (!m.payload.empty()) std::memcpy(buffer, m.payload.data(),
-                                      m.payload.size());
+  if (!m.payload.empty()) {
+    std::memcpy(buffer, m.payload.data(), m.payload.size());
+  }
   fill_status(m, status);
   return Status::ok();
 }
 
-Status Comm::try_barrier() {
+std::optional<std::vector<std::uint8_t>> Comm::try_recv_bytes(
+    NodeId src, Tag tag, RecvStatus* status) {
+  const net::Mailbox::Matcher want = user_match(src, tag);
+  net::Message m;
+  if (poll(&want, std::chrono::milliseconds(0), &m) !=
+      net::WaitOutcome::kDone) {
+    return std::nullopt;
+  }
+  fill_status(m, status);
+  return std::move(m.payload);
+}
+
+// ---------------------------------------------------------------------------
+// Collectives
+
+Status Comm::barrier() {
   count_collective(metrics_.barriers, 0);
   obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
   obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
   const int n = size();
   if (n == 1) return Status::ok();
   const Tag tag = next_collective_tag();
+  // Dissemination barrier: within one barrier every round talks to a distinct
+  // partner, so one tag suffices; the round is identified by the source rank.
   for (int dist = 1; dist < n; dist <<= 1) {
     const NodeId to = (rank() + dist) % n;
     const NodeId from = (rank() - dist % n + n) % n;
     if (Status s = rel_send(to, tag, nullptr, 0); !s.is_ok()) return s;
     net::Message m;
-    if (Status s = rel_recv(from, tag, &m); !s.is_ok()) return s;
+    if (Status s = rel_recv(coll_match(from, tag), &m); !s.is_ok()) return s;
   }
   return Status::ok();
 }
 
-Status Comm::try_bcast(void* data, std::size_t bytes, NodeId root) {
+Status Comm::bcast(void* data, std::size_t bytes, NodeId root) {
   count_collective(metrics_.bcasts, bytes);
   obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
   obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
@@ -461,7 +314,7 @@ Status Comm::try_bcast(void* data, std::size_t bytes, NodeId root) {
     if ((relative & mask) != 0) {
       const NodeId src = (rank() - mask + n) % n;
       net::Message m;
-      if (Status s = rel_recv(src, tag, &m); !s.is_ok()) return s;
+      if (Status s = rel_recv(coll_match(src, tag), &m); !s.is_ok()) return s;
       if (m.payload.size() != bytes) {
         return make_error(ErrorCode::kInternal, "bcast size mismatch");
       }
@@ -481,7 +334,7 @@ Status Comm::try_bcast(void* data, std::size_t bytes, NodeId root) {
   return Status::ok();
 }
 
-Status Comm::try_reduce_with(
+Status Comm::reduce_with(
     void* buffer, std::size_t bytes, NodeId root, Tag tag,
     const std::function<void(void*, const void*)>& combine) {
   const int n = size();
@@ -493,7 +346,9 @@ Status Comm::try_reduce_with(
       if (source_rel < n) {
         const NodeId source = (source_rel + root) % n;
         net::Message m;
-        if (Status s = rel_recv(source, tag, &m); !s.is_ok()) return s;
+        if (Status s = rel_recv(coll_match(source, tag), &m); !s.is_ok()) {
+          return s;
+        }
         if (m.payload.size() != bytes) {
           return make_error(ErrorCode::kInternal, "reduce size mismatch");
         }
@@ -508,24 +363,77 @@ Status Comm::try_reduce_with(
   return Status::ok();
 }
 
-Status Comm::try_allreduce(void* buffer, std::size_t count, DType dtype,
-                           Op op) {
+Status Comm::reduce(void* buffer, std::size_t count, DType dtype, Op op,
+                    NodeId root) {
+  count_collective(metrics_.reduces, count * dtype_size(dtype));
+  obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
+  obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
+  if (size() == 1) return Status::ok();
+  const Tag tag = next_collective_tag();
+  const std::size_t bytes = count * dtype_size(dtype);
+  return reduce_with(buffer, bytes, root, tag,
+                     [&](void* inout, const void* in) {
+                       reduce_inplace(dtype, op, inout, in, count);
+                     });
+}
+
+Status Comm::allreduce(void* buffer, std::size_t count, DType dtype, Op op) {
   count_collective(metrics_.allreduces, count * dtype_size(dtype));
   obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
   obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
-  const std::size_t bytes = count * dtype_size(dtype);
+  if (Status s = reduce(buffer, count, dtype, op, /*root=*/0); !s.is_ok()) {
+    return s;
+  }
+  return bcast(buffer, count * dtype_size(dtype), /*root=*/0);
+}
+
+Status Comm::allreduce_user(void* buffer, std::size_t bytes,
+                            const UserReduceFn& fn) {
   if (size() > 1) {
     const Tag tag = next_collective_tag();
-    if (Status s = try_reduce_with(
+    if (Status s = reduce_with(
             buffer, bytes, /*root=*/0, tag,
-            [&](void* inout, const void* in) {
-              reduce_inplace(dtype, op, inout, in, count);
-            });
+            [&](void* inout, const void* in) { fn(inout, in, bytes); });
         !s.is_ok()) {
       return s;
     }
   }
-  return try_bcast(buffer, bytes, /*root=*/0);
+  return bcast(buffer, bytes, /*root=*/0);
+}
+
+Status Comm::gather(const void* contribution, std::size_t bytes, void* out,
+                    NodeId root) {
+  count_collective(metrics_.gathers, bytes);
+  obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
+  obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
+  const Tag tag = next_collective_tag();
+  if (rank() != root) return rel_send(root, tag, contribution, bytes);
+  PARADE_CHECK_MSG(out != nullptr, "gather root needs an output buffer");
+  auto* base = static_cast<std::uint8_t*>(out);
+  std::memcpy(base + static_cast<std::size_t>(rank()) * bytes, contribution,
+              bytes);
+  for (int peer = 0; peer < size(); ++peer) {
+    if (peer == root) continue;
+    net::Message m;
+    if (Status s = rel_recv(coll_match(peer, tag), &m); !s.is_ok()) return s;
+    if (m.payload.size() != bytes) {
+      return make_error(ErrorCode::kInternal, "gather size mismatch");
+    }
+    std::memcpy(base + static_cast<std::size_t>(peer) * bytes,
+                m.payload.data(), bytes);
+  }
+  return Status::ok();
+}
+
+Status Comm::allgather(const void* contribution, std::size_t bytes,
+                       void* out) {
+  count_collective(metrics_.allgathers, bytes);
+  obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
+  obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
+  if (Status s = gather(contribution, bytes, out, /*root=*/0); !s.is_ok()) {
+    return s;
+  }
+  return bcast(out, bytes * static_cast<std::size_t>(size()), /*root=*/0);
 }
 
 }  // namespace parade::mp

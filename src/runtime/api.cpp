@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 
 #include "common/env.hpp"
 #include "common/status.hpp"
@@ -16,6 +17,11 @@ void block_partition(long n, long parties, long index, long* lo, long* hi) {
   const long rem = n % parties;
   *lo = index * base + std::min<long>(index, rem);
   *hi = *lo + base + (index < rem ? 1 : 0);
+}
+
+/// Aborts with the operation's name when an inter-node collective failed.
+void check_mp(const Status& s, const char* what) {
+  PARADE_CHECK_MSG(s.is_ok(), std::string(what) + ": " + s.to_string());
 }
 
 }  // namespace
@@ -121,7 +127,8 @@ void team_update_bytes(void* replica, const void* contribution,
     std::vector<std::uint8_t> scratch(
         static_cast<const std::uint8_t*>(contribution),
         static_cast<const std::uint8_t*>(contribution) + bytes);
-    ctx.node->comm().allreduce_user(scratch.data(), bytes, combine);
+    check_mp(ctx.node->comm().allreduce_user(scratch.data(), bytes, combine),
+             "team_update allreduce");
     combine(replica, scratch.data(), bytes);
     return;
   }
@@ -145,7 +152,8 @@ void team_update_bytes(void* replica, const void* contribution,
   // the node representative (Fig. 2's inter-node synchronization).
   if (ctx.local_id == 0) {
     auto& scratch = team.combine_scratch();
-    ctx.node->comm().allreduce_user(scratch.data(), bytes, combine);
+    check_mp(ctx.node->comm().allreduce_user(scratch.data(), bytes, combine),
+             "team_update allreduce");
     combine(replica, scratch.data(), bytes);
     team.reset_combine_count();
   }
@@ -158,7 +166,8 @@ void team_allreduce_bytes(void* inout, std::size_t bytes,
   Team& team = ctx.node->team();
 
   if (!team.in_region()) {
-    ctx.node->comm().allreduce_user(inout, bytes, combine);
+    check_mp(ctx.node->comm().allreduce_user(inout, bytes, combine),
+             "team_reduce allreduce");
     return;
   }
 
@@ -178,8 +187,9 @@ void team_allreduce_bytes(void* inout, std::size_t bytes,
 
   // Phase 2: inter-node allreduce by the representative.
   if (ctx.local_id == 0) {
-    ctx.node->comm().allreduce_user(team.combine_scratch().data(), bytes,
-                                    combine);
+    check_mp(ctx.node->comm().allreduce_user(team.combine_scratch().data(),
+                                             bytes, combine),
+             "team_reduce allreduce");
     team.reset_combine_count();
   }
   team.barrier(BarrierScope::kNode);
@@ -197,7 +207,10 @@ void single_small(void* data, std::size_t bytes,
   const long seq = ctx.single_seq++;
   if (team.single_try_claim(seq)) {
     if (ctx.node->node_id() == 0) init();
-    if (bytes > 0) ctx.node->comm().bcast(data, bytes, /*root=*/0);
+    if (bytes > 0) {
+      check_mp(ctx.node->comm().bcast(data, bytes, /*root=*/0),
+               "single_small bcast");
+    }
     ctx.clock.sync_cpu();
     team.single_mark_done(seq, ctx.clock.now(), data, bytes);
   } else {

@@ -71,7 +71,9 @@ NodeRuntime::NodeRuntime(dsm::DsmNode& dsm, const RuntimeConfig& config)
   // One Topology value per node, shared by every layer: the DSM barrier tree,
   // the communicator, and the thread team all see the same shape.
   const Topology& topology = dsm_.topology();
-  comm_ = std::make_unique<mp::Comm>(topology, dsm_.channel(), config_.dsm.net);
+  // The communicator's waits share the DSM's retry budget.
+  comm_ = std::make_unique<mp::Comm>(topology, dsm_.channel(), config_.dsm.net,
+                                     config_.dsm.retry);
   team_ = std::make_unique<Team>(*this, topology, config_.threads_per_node);
   team_->start();
 }

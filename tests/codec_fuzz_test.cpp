@@ -269,12 +269,14 @@ TEST(LiveNodeFuzz, OutOfRangeFramesAreDroppedAndBarrierCompletes) {
     ASSERT_TRUE(cluster.node(1).channel().send(0, tag, payload, 0.0).is_ok());
   }
   // Forged as rank 0 and queued for the waits on rank 1's app thread: an
-  // epoch-0 departure naming a page past the table, and grants carrying the
-  // seq (1) of rank 1's first lock acquire — it sends no diff or lock
-  // message before it — with a page or a modifier out of range.
+  // epoch-0 departure naming a page past the table, a departure from epoch
+  // 2 (two ahead of rank 1's barrier), and grants carrying the seq (1) of
+  // rank 1's first lock acquire — it sends no diff or lock message before
+  // it — with a page or a modifier out of range.
   const std::vector<std::pair<Tag, std::vector<std::uint8_t>>> forged = {
       {kTagBarrierDepart,
        codec<BarrierDepartMsg>::encode({0, 0.0, {{pages, 0, kAnyNode}}})},
+      {kTagBarrierDepart, codec<BarrierDepartMsg>::encode({2, 0.0, {}})},
       {kTagLockGrantBase, codec<LockGrantMsg>::encode({0, {{pages, 0}}, 1})},
       {kTagLockGrantBase, codec<LockGrantMsg>::encode({0, {{0, 2}}, 1})},
   };

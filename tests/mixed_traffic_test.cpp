@@ -38,9 +38,19 @@ TEST(MixedTraffic, P2PAndDsmAndCollectivesInterleave) {
       // 2. User point-to-point on the same channel, ring pattern.
       mp::Comm& comm = this_node().comm();
       const std::int64_t token = 1000 * round + node_id();
-      comm.send((node_id() + 1) % 3, /*tag=*/50 + round, &token, sizeof(token));
+      // Every send waits for its ack; the ring still completes because each
+      // node's ack wait absorbs (and acks) its predecessor's token.
+      if (!comm.send((node_id() + 1) % 3, /*tag=*/50 + round, &token,
+                     sizeof(token))
+               .is_ok()) {
+        failures.fetch_add(1);
+      }
       std::int64_t received = -1;
-      comm.recv((node_id() + 2) % 3, 50 + round, &received, sizeof(received));
+      if (!comm.recv((node_id() + 2) % 3, 50 + round, &received,
+                     sizeof(received))
+               .is_ok()) {
+        failures.fetch_add(1);
+      }
       if (received != 1000 * round + (node_id() + 2) % 3) failures.fetch_add(1);
 
       // 3. Collectives + DSM locks inside a parallel region, interleaved
@@ -86,19 +96,22 @@ TEST(MixedTraffic, AnyTagRecvNeverStealsProtocolMessages) {
 
     mp::Comm& comm = this_node().comm();
     if (node_id() == 0) {
+      // Returns once rank 1's receive below has acked the message.
       const int v = 99;
-      comm.send(1, 3, &v, sizeof(v));
-      barrier();  // DSM barrier protocol messages fly here
+      if (!comm.send(1, 3, &v, sizeof(v)).is_ok()) failures.fetch_add(1);
     } else {
-      // Fault a page (protocol request/reply on the same mailbox), then do a
-      // wildcard receive — it must find the user message, not protocol junk.
+      // Fault a page (protocol request/reply on the same mailbox) while the
+      // user message is queued, then do a wildcard receive — it must find
+      // the user message, not protocol junk.
       if (page[0] != 7) failures.fetch_add(1);
-      barrier();
       int v = 0;
-      mp::RecvStatus status = comm.recv(kAnyNode, kAnyTag, &v, sizeof(v));
+      mp::RecvStatus status;
+      if (!comm.recv(kAnyNode, kAnyTag, &v, sizeof(v), &status).is_ok()) {
+        failures.fetch_add(1);
+      }
       if (v != 99 || status.tag != 3) failures.fetch_add(1);
     }
-    barrier();
+    barrier();  // DSM barrier protocol messages fly here
   });
   cluster.shutdown();
   EXPECT_EQ(failures.load(), 0);

@@ -1,9 +1,10 @@
-// MP reliability layer under deterministic fault injection: the try_* family
+// MP wire engine under deterministic fault injection: every Comm operation
 // must deliver exactly-once in-order results across drops / duplicates /
 // reorders, ride out a partition that heals, and degrade to a clean
 // kUnavailable Status — never a hang — when the partition does not heal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -70,14 +71,14 @@ TEST(MpFault, P2pDeliversInOrderAcrossDropsAndDups) {
   run_ranks(2, plan, chaos_retry(), [&](NodeId rank, Comm& comm) {
     if (rank == 0) {
       for (std::uint32_t i = 0; i < kMessages; ++i) {
-        ASSERT_TRUE(comm.try_send(1, /*tag=*/7, &i, sizeof(i)).is_ok());
+        ASSERT_TRUE(comm.send(1, /*tag=*/7, &i, sizeof(i)).is_ok());
       }
     } else {
       for (std::uint32_t i = 0; i < kMessages; ++i) {
         std::uint32_t got = ~0u;
         RecvStatus status;
         ASSERT_TRUE(
-            comm.try_recv(0, /*tag=*/7, &got, sizeof(got), &status).is_ok());
+            comm.recv(0, /*tag=*/7, &got, sizeof(got), &status).is_ok());
         EXPECT_EQ(got, i) << "duplicate or reordered delivery leaked through";
         EXPECT_EQ(status.source, 0);
         EXPECT_EQ(status.bytes, sizeof(got));
@@ -99,15 +100,48 @@ TEST(MpFault, CollectivesSurviveChaos) {
   run_ranks(kNodes, plan, chaos_retry(), [&](NodeId rank, Comm& comm) {
     for (int round = 0; round < kRounds; ++round) {
       std::int64_t value = rank == 0 ? 1000 + round : -1;
-      ASSERT_TRUE(comm.try_bcast(&value, sizeof(value), /*root=*/0).is_ok());
+      ASSERT_TRUE(comm.bcast(&value, sizeof(value), /*root=*/0).is_ok());
       EXPECT_EQ(value, 1000 + round);
 
       std::int64_t sum = rank + 1;
-      ASSERT_TRUE(
-          comm.try_allreduce(&sum, 1, DType::kInt64, Op::kSum).is_ok());
+      ASSERT_TRUE(comm.allreduce(&sum, 1, DType::kInt64, Op::kSum).is_ok());
       EXPECT_EQ(sum, kNodes * (kNodes + 1) / 2);
 
-      ASSERT_TRUE(comm.try_barrier().is_ok());
+      std::int64_t to_root = (rank + 1) * (round + 1);
+      ASSERT_TRUE(comm.reduce(&to_root, 1, DType::kInt64, Op::kSum,
+                              /*root=*/round % kNodes)
+                      .is_ok());
+      if (rank == round % kNodes) {
+        EXPECT_EQ(to_root, (round + 1) * kNodes * (kNodes + 1) / 2);
+      }
+
+      std::int64_t high = 10 * rank + round;
+      ASSERT_TRUE(comm.allreduce_user(
+                          &high, sizeof(high),
+                          [](void* inout, const void* in, std::size_t) {
+                            auto* a = static_cast<std::int64_t*>(inout);
+                            *a = std::max(
+                                *a, *static_cast<const std::int64_t*>(in));
+                          })
+                      .is_ok());
+      EXPECT_EQ(high, 10 * (kNodes - 1) + round);
+
+      const std::int64_t mine = 100 * round + rank;
+      std::vector<std::int64_t> all(kNodes, -1);
+      ASSERT_TRUE(comm.gather(&mine, sizeof(mine),
+                              rank == 0 ? all.data() : nullptr, /*root=*/0)
+                      .is_ok());
+      if (rank == 0) {
+        for (NodeId r = 0; r < kNodes; ++r) EXPECT_EQ(all[r], 100 * round + r);
+      }
+      std::vector<std::int64_t> everywhere(kNodes, -1);
+      ASSERT_TRUE(
+          comm.allgather(&mine, sizeof(mine), everywhere.data()).is_ok());
+      for (NodeId r = 0; r < kNodes; ++r) {
+        EXPECT_EQ(everywhere[r], 100 * round + r);
+      }
+
+      ASSERT_TRUE(comm.barrier().is_ok());
     }
   });
   EXPECT_GT(total_mp_retries(kNodes), 0);
@@ -124,12 +158,12 @@ TEST(MpFault, PartitionThenHealRecovers) {
   run_ranks(2, plan, chaos_retry(), [&](NodeId rank, Comm& comm) {
     if (rank == 0) {
       for (std::uint32_t i = 0; i < kMessages; ++i) {
-        ASSERT_TRUE(comm.try_send(1, /*tag=*/3, &i, sizeof(i)).is_ok());
+        ASSERT_TRUE(comm.send(1, /*tag=*/3, &i, sizeof(i)).is_ok());
       }
     } else {
       for (std::uint32_t i = 0; i < kMessages; ++i) {
         std::uint32_t got = ~0u;
-        ASSERT_TRUE(comm.try_recv(0, /*tag=*/3, &got, sizeof(got)).is_ok());
+        ASSERT_TRUE(comm.recv(0, /*tag=*/3, &got, sizeof(got)).is_ok());
         EXPECT_EQ(got, i);
       }
     }
@@ -147,7 +181,7 @@ TEST(MpFault, BcastAcrossHealingPartition) {
   run_ranks(kNodes, plan, chaos_retry(), [&](NodeId rank, Comm& comm) {
     for (int round = 0; round < 4; ++round) {
       std::int64_t value = rank == 0 ? 77 + round : -1;
-      ASSERT_TRUE(comm.try_bcast(&value, sizeof(value), /*root=*/0).is_ok());
+      ASSERT_TRUE(comm.bcast(&value, sizeof(value), /*root=*/0).is_ok());
       EXPECT_EQ(value, 77 + round);
     }
   });
@@ -167,17 +201,17 @@ TEST(MpFault, UnhealedPartitionReturnsStatusInsteadOfHanging) {
   run_ranks(2, plan, retry, [&](NodeId rank, Comm& comm) {
     if (rank == 0) {
       const std::uint32_t v = 42;
-      const Status s = comm.try_send(1, /*tag=*/5, &v, sizeof(v));
+      const Status s = comm.send(1, /*tag=*/5, &v, sizeof(v));
       ASSERT_FALSE(s.is_ok());
       EXPECT_EQ(s.code(), ErrorCode::kUnavailable);
     } else {
       std::uint32_t got = 0;
-      const Status s = comm.try_recv(0, /*tag=*/5, &got, sizeof(got));
+      const Status s = comm.recv(0, /*tag=*/5, &got, sizeof(got));
       ASSERT_FALSE(s.is_ok());
       EXPECT_EQ(s.code(), ErrorCode::kUnavailable);
     }
     // A collective across the dead link must degrade the same way.
-    const Status barrier_status = comm.try_barrier();
+    const Status barrier_status = comm.barrier();
     ASSERT_FALSE(barrier_status.is_ok());
     EXPECT_EQ(barrier_status.code(), ErrorCode::kUnavailable);
   });
@@ -190,13 +224,13 @@ TEST(MpFault, InertPlanIsPassThrough) {
   run_ranks(2, inert, chaos_retry(), [&](NodeId rank, Comm& comm) {
     if (rank == 0) {
       const std::uint64_t v = 0xdeadbeefcafef00dull;
-      ASSERT_TRUE(comm.try_send(1, /*tag=*/1, &v, sizeof(v)).is_ok());
+      ASSERT_TRUE(comm.send(1, /*tag=*/1, &v, sizeof(v)).is_ok());
     } else {
       std::uint64_t got = 0;
-      ASSERT_TRUE(comm.try_recv(0, /*tag=*/1, &got, sizeof(got)).is_ok());
+      ASSERT_TRUE(comm.recv(0, /*tag=*/1, &got, sizeof(got)).is_ok());
       EXPECT_EQ(got, 0xdeadbeefcafef00dull);
     }
-    ASSERT_TRUE(comm.try_barrier().is_ok());
+    ASSERT_TRUE(comm.barrier().is_ok());
   });
   EXPECT_EQ(total_mp_retries(2), 0);
 }

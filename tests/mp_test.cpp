@@ -65,14 +65,14 @@ TEST(PointToPoint, TagMatching) {
   run_ranks(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       const int a = 1, b = 2;
-      comm.send(1, /*tag=*/10, &a, sizeof(a));
-      comm.send(1, /*tag=*/20, &b, sizeof(b));
+      ASSERT_TRUE(comm.send(1, /*tag=*/10, &a, sizeof(a)).is_ok());
+      ASSERT_TRUE(comm.send(1, /*tag=*/20, &b, sizeof(b)).is_ok());
     } else {
       int v = 0;
       // Receive out of order by tag.
-      comm.recv(0, 20, &v, sizeof(v));
+      ASSERT_TRUE(comm.recv(0, 20, &v, sizeof(v)).is_ok());
       EXPECT_EQ(v, 2);
-      comm.recv(0, 10, &v, sizeof(v));
+      ASSERT_TRUE(comm.recv(0, 10, &v, sizeof(v)).is_ok());
       EXPECT_EQ(v, 1);
     }
   });
@@ -82,12 +82,14 @@ TEST(PointToPoint, Wildcards) {
   run_ranks(3, [](Comm& comm) {
     if (comm.rank() != 0) {
       const int v = comm.rank() * 100;
-      comm.send(0, 7, &v, sizeof(v));
+      ASSERT_TRUE(comm.send(0, 7, &v, sizeof(v)).is_ok());
     } else {
       int sum = 0;
       for (int i = 0; i < 2; ++i) {
         int v = 0;
-        RecvStatus status = comm.recv(kAnyNode, kAnyTag, &v, sizeof(v));
+        RecvStatus status;
+        ASSERT_TRUE(
+            comm.recv(kAnyNode, kAnyTag, &v, sizeof(v), &status).is_ok());
         EXPECT_EQ(status.tag, 7);
         EXPECT_EQ(v, status.source * 100);
         sum += v;
@@ -103,16 +105,17 @@ TEST(PointToPoint, TryRecv) {
       // Rank 1 sends only after the first barrier, which cannot complete
       // before this probe.
       EXPECT_FALSE(comm.try_recv_bytes(1, 3).has_value());
-      comm.barrier();
-      comm.barrier();
-      // After the second barrier the message must have been sent.
-      while (!comm.try_recv_bytes(1, 3).has_value()) {
-      }
+      ASSERT_TRUE(comm.barrier().is_ok());
+      // The second barrier absorbs (and acks) the message rank 1 sends
+      // between the two; the probe then finds it without waiting.
+      ASSERT_TRUE(comm.barrier().is_ok());
+      EXPECT_TRUE(comm.try_recv_bytes(1, 3).has_value());
+      EXPECT_FALSE(comm.try_recv_bytes(1, 3).has_value());
     } else {
-      comm.barrier();
+      ASSERT_TRUE(comm.barrier().is_ok());
       const int v = 5;
-      comm.send(0, 3, &v, sizeof(v));
-      comm.barrier();
+      ASSERT_TRUE(comm.send(0, 3, &v, sizeof(v)).is_ok());
+      ASSERT_TRUE(comm.barrier().is_ok());
     }
   });
 }
@@ -124,10 +127,10 @@ TEST_P(CollectivesAtSize, Barrier) {
   std::atomic<int> arrived{0};
   run_ranks(n, [&](Comm& comm) {
     arrived.fetch_add(1);
-    comm.barrier();
+    ASSERT_TRUE(comm.barrier().is_ok());
     // After the barrier every rank must have arrived.
     EXPECT_EQ(arrived.load(), n);
-    comm.barrier();
+    ASSERT_TRUE(comm.barrier().is_ok());
   });
 }
 
@@ -141,7 +144,7 @@ TEST_P(CollectivesAtSize, BcastFromEveryRoot) {
         payload[1] = 2.0 * root;
         payload[2] = -1.0;
       }
-      comm.bcast(payload, sizeof(payload), root);
+      ASSERT_TRUE(comm.bcast(payload, sizeof(payload), root).is_ok());
       EXPECT_DOUBLE_EQ(payload[0], root + 0.5);
       EXPECT_DOUBLE_EQ(payload[1], 2.0 * root);
       EXPECT_DOUBLE_EQ(payload[2], -1.0);
@@ -154,7 +157,8 @@ TEST_P(CollectivesAtSize, ReduceSumToEveryRoot) {
   run_ranks(n, [&](Comm& comm) {
     for (int root = 0; root < n; ++root) {
       std::int64_t value = comm.rank() + 1;
-      comm.reduce(&value, 1, DType::kInt64, Op::kSum, root);
+      ASSERT_TRUE(
+          comm.reduce(&value, 1, DType::kInt64, Op::kSum, root).is_ok());
       if (comm.rank() == root) {
         EXPECT_EQ(value, static_cast<std::int64_t>(n) * (n + 1) / 2);
       }
@@ -166,10 +170,10 @@ TEST_P(CollectivesAtSize, AllreduceMinMax) {
   const int n = GetParam();
   run_ranks(n, [&](Comm& comm) {
     double lo = comm.rank() * 1.5;
-    comm.allreduce(&lo, 1, DType::kDouble, Op::kMin);
+    ASSERT_TRUE(comm.allreduce(&lo, 1, DType::kDouble, Op::kMin).is_ok());
     EXPECT_DOUBLE_EQ(lo, 0.0);
     double hi = comm.rank() * 1.5;
-    comm.allreduce(&hi, 1, DType::kDouble, Op::kMax);
+    ASSERT_TRUE(comm.allreduce(&hi, 1, DType::kDouble, Op::kMax).is_ok());
     EXPECT_DOUBLE_EQ(hi, (n - 1) * 1.5);
   });
 }
@@ -179,7 +183,9 @@ TEST_P(CollectivesAtSize, AllreduceVector) {
   run_ranks(n, [&](Comm& comm) {
     std::vector<std::int32_t> values(16);
     for (int i = 0; i < 16; ++i) values[static_cast<std::size_t>(i)] = i;
-    comm.allreduce(values.data(), values.size(), DType::kInt32, Op::kSum);
+    ASSERT_TRUE(
+        comm.allreduce(values.data(), values.size(), DType::kInt32, Op::kSum)
+            .is_ok());
     for (int i = 0; i < 16; ++i) {
       EXPECT_EQ(values[static_cast<std::size_t>(i)], i * n);
     }
@@ -197,14 +203,15 @@ TEST_P(CollectivesAtSize, AllreduceUserStruct) {
   run_ranks(n, [&](Comm& comm) {
     Multi m{static_cast<double>(comm.rank()), static_cast<double>(comm.rank()),
             1};
-    comm.allreduce_user(&m, sizeof(m),
-                        [](void* inout, const void* in, std::size_t) {
-                          auto* a = static_cast<Multi*>(inout);
-                          const auto* b = static_cast<const Multi*>(in);
-                          a->sum += b->sum;
-                          a->max = std::max(a->max, b->max);
-                          a->count += b->count;
-                        });
+    const Status s = comm.allreduce_user(
+        &m, sizeof(m), [](void* inout, const void* in, std::size_t) {
+          auto* a = static_cast<Multi*>(inout);
+          const auto* b = static_cast<const Multi*>(in);
+          a->sum += b->sum;
+          a->max = std::max(a->max, b->max);
+          a->count += b->count;
+        });
+    ASSERT_TRUE(s.is_ok());
     EXPECT_DOUBLE_EQ(m.sum, n * (n - 1) / 2.0);
     EXPECT_DOUBLE_EQ(m.max, n - 1.0);
     EXPECT_EQ(m.count, n);
@@ -216,15 +223,16 @@ TEST_P(CollectivesAtSize, GatherAndAllgather) {
   run_ranks(n, [&](Comm& comm) {
     const std::int32_t mine = 10 * comm.rank() + 3;
     std::vector<std::int32_t> all(static_cast<std::size_t>(n), -1);
-    comm.gather(&mine, sizeof(mine), comm.rank() == 0 ? all.data() : nullptr,
-                0);
+    ASSERT_TRUE(comm.gather(&mine, sizeof(mine),
+                            comm.rank() == 0 ? all.data() : nullptr, 0)
+                    .is_ok());
     if (comm.rank() == 0) {
       for (int r = 0; r < n; ++r) {
         EXPECT_EQ(all[static_cast<std::size_t>(r)], 10 * r + 3);
       }
     }
     std::vector<std::int32_t> everywhere(static_cast<std::size_t>(n), -1);
-    comm.allgather(&mine, sizeof(mine), everywhere.data());
+    ASSERT_TRUE(comm.allgather(&mine, sizeof(mine), everywhere.data()).is_ok());
     for (int r = 0; r < n; ++r) {
       EXPECT_EQ(everywhere[static_cast<std::size_t>(r)], 10 * r + 3);
     }
@@ -236,7 +244,7 @@ TEST_P(CollectivesAtSize, BackToBackCollectivesDoNotCross) {
   run_ranks(n, [&](Comm& comm) {
     for (int round = 0; round < 20; ++round) {
       std::int64_t v = round * n + comm.rank();
-      comm.allreduce(&v, 1, DType::kInt64, Op::kMax);
+      ASSERT_TRUE(comm.allreduce(&v, 1, DType::kInt64, Op::kMax).is_ok());
       EXPECT_EQ(v, static_cast<std::int64_t>(round) * n + (n - 1));
     }
   });
@@ -250,22 +258,23 @@ TEST(Vtime, MessageCarriesCausality) {
   Comm c0(Topology::flat(0, 2), fabric.channel(0), vtime::clan_via());
   Comm c1(Topology::flat(1, 2), fabric.channel(1), vtime::clan_via());
 
+  // The send completes only once the receiver acked it, so the receiver runs
+  // beside the sender.
   vtime::ThreadClock receiver_clock;
-
-  std::thread sender([&] {
-    vtime::ThreadClock sender_clock;  // owned by this thread
-    bind_thread_clock(&sender_clock);
-    sender_clock.add(1000.0);  // sender is "ahead"
-    const int v = 1;
-    c0.send(1, 4, &v, sizeof(v));
+  std::thread receiver([&] {
+    bind_thread_clock(&receiver_clock);
+    int v = 0;
+    EXPECT_TRUE(c1.recv(0, 4, &v, sizeof(v)).is_ok());
     bind_thread_clock(nullptr);
   });
-  sender.join();
 
-  bind_thread_clock(&receiver_clock);
-  int v = 0;
-  c1.recv(0, 4, &v, sizeof(v));
+  vtime::ThreadClock sender_clock;
+  bind_thread_clock(&sender_clock);
+  sender_clock.add(1000.0);  // sender is "ahead"
+  const int v = 1;
+  EXPECT_TRUE(c0.send(1, 4, &v, sizeof(v)).is_ok());
   bind_thread_clock(nullptr);
+  receiver.join();
   // Receiver merged the sender's timestamp + transfer time.
   EXPECT_GT(receiver_clock.now(), 1000.0);
   fabric.shutdown();

@@ -1,8 +1,8 @@
 // OpenMP runtime layer: fork-join, worksharing schedules (property: every
 // iteration executed exactly once across the cluster), hybrid sync
 // constructs, conventional-SDSM constructs, and the omp_* shims. The
-// RuntimeChaos case (ctest runtime_chaos_test, label tier2-chaos) runs a
-// runtime program under the PARADE_FAULT_* environment.
+// RuntimeChaos cases (ctest runtime_chaos_test, label tier2-chaos) run
+// runtime programs under the PARADE_FAULT_* environment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -327,8 +327,7 @@ struct FaultEnvResult {
 /// PARADE_FAULT_SEED is `fault_seed` (unset when null): each round every
 /// thread rewrites its static slice of `a`, then folds the opposite node's
 /// slice of `a` into `b`, so each round fetches remote pages and sends diffs
-/// home. Parallel loops and runtime barriers only — no MP collective, whose
-/// plain receive has no retransmit (docs/FAULT_INJECTION.md). Afterwards
+/// home. Parallel loops and runtime barriers only, no MP traffic. Afterwards
 /// every node reads the whole pool.
 FaultEnvResult run_fault_env_program(const char* fault_seed) {
   constexpr long kWords = 8 * 4096 / sizeof(std::uint64_t);
@@ -383,6 +382,88 @@ TEST(RuntimeChaos, VirtualClusterHonoursFaultEnv) {
     EXPECT_EQ(clean.memory[n], clean.memory[0]) << "node " << n;
     EXPECT_EQ(chaotic.memory[n], clean.memory[0]) << "node " << n;
   }
+}
+
+struct MpChaosResult {
+  std::vector<std::vector<std::int64_t>> values;  ///< per node, in order
+  std::int64_t duplicated = 0;  ///< sum of net.fault.duplicated
+  std::int64_t reordered = 0;   ///< sum of net.fault.reordered
+  std::int64_t violations = 0;  ///< sum of dsm.invariant.violations
+};
+
+/// MP traffic on a 2x2 VirtualCluster built while PARADE_FAULT_SEED and
+/// PARADE_FAULT_PLAN are `fault_seed` and `fault_plan` (unset when null):
+/// each round runs team_update, team_reduce and single_small in a parallel
+/// region, then a user send/recv ring that reuses one tag every round, so a
+/// duplicate or held-back frame would hand a round another round's value.
+MpChaosResult run_mp_program(const char* fault_seed, const char* fault_plan) {
+  constexpr int kRounds = 12;
+  constexpr int kNodes = 2;
+  constexpr Tag kRingTag = 9;
+  RuntimeConfig config = config_of(kNodes, 2);
+  config.dsm.retry.timeout_ms = 50;
+  config.dsm.retry.max_attempts = 400;
+  if (fault_seed != nullptr) setenv("PARADE_FAULT_SEED", fault_seed, 1);
+  if (fault_plan != nullptr) setenv("PARADE_FAULT_PLAN", fault_plan, 1);
+  VirtualCluster cluster(config);
+  unsetenv("PARADE_FAULT_SEED");
+  unsetenv("PARADE_FAULT_PLAN");
+
+  MpChaosResult result;
+  result.values.resize(kNodes);
+  cluster.exec([&] {
+    auto& out = result.values[static_cast<std::size_t>(node_id())];
+    for (int round = 0; round < kRounds; ++round) {
+      std::int64_t total = 0;
+      std::int64_t highest = 0;
+      std::int64_t token = -1;
+      parallel([&] {
+        team_update<std::int64_t>(&total, thread_id() + round, mp::Op::kSum);
+        const std::int64_t high =
+            team_reduce<std::int64_t>(10 * thread_id() + round, mp::Op::kMax);
+        if (local_thread_id() == 0) highest = high;
+        single_small(&token, sizeof(token), [&] { token = 100 + round; });
+      });
+      mp::Comm& comm = this_node().comm();
+      const NodeId next = (node_id() + 1) % num_nodes();
+      const NodeId prev = (node_id() + num_nodes() - 1) % num_nodes();
+      const std::int64_t mine = 1000 * round + node_id();
+      std::int64_t got = -1;
+      EXPECT_TRUE(comm.send(next, kRingTag, &mine, sizeof(mine)).is_ok());
+      EXPECT_TRUE(comm.recv(prev, kRingTag, &got, sizeof(got)).is_ok());
+      out.insert(out.end(), {total, highest, token, got});
+    }
+  });
+  auto& reg = obs::Registry::instance();
+  for (NodeId n = 0; n < kNodes; ++n) {
+    result.duplicated += reg.counter(n, "net.fault.duplicated").value();
+    result.reordered += reg.counter(n, "net.fault.reordered").value();
+    result.violations += reg.counter(n, "dsm.invariant.violations").value();
+  }
+  cluster.shutdown();
+  return result;
+}
+
+// The runtime's collectives and user point-to-point run over the acked,
+// deduplicating wire engine: duplicated, held-back and delayed frames must
+// leave every value equal to the fault-free run's.
+TEST(RuntimeChaos, MpSurvivesDupReorderDelay) {
+  const MpChaosResult clean = run_mp_program(nullptr, nullptr);
+  const MpChaosResult chaotic = run_mp_program(
+      "7", "dup=0.05,reorder=0.05,delay=0.1,delay_us=200");
+  EXPECT_GT(chaotic.duplicated, 0) << "no frame was duplicated";
+  EXPECT_GT(chaotic.reordered, 0) << "no frame was held back";
+  EXPECT_EQ(chaotic.violations, 0);
+  ASSERT_EQ(clean.values.size(), chaotic.values.size());
+  for (std::size_t n = 0; n < clean.values.size(); ++n) {
+    EXPECT_EQ(chaotic.values[n], clean.values[n]) << "node " << n;
+  }
+  // Spot-check the fault-free values themselves (round 0, node 0).
+  ASSERT_GE(clean.values[0].size(), 4u);
+  EXPECT_EQ(clean.values[0][0], 0 + 1 + 2 + 3);  // team_update
+  EXPECT_EQ(clean.values[0][1], 30);             // team_reduce
+  EXPECT_EQ(clean.values[0][2], 100);            // single_small
+  EXPECT_EQ(clean.values[0][3], 1);              // ring: node 1's token
 }
 
 }  // namespace
