@@ -12,9 +12,17 @@
 // The gate is deterministic. Every rep must show, on the remote node
 // (rank 1): page_fetches == pages x epochs, twins_shared == page_fetches
 // (every write fault aliased the home's frame instead of copying it),
-// twins_created == 0, and zero retries and dsm.invariant.violations on
-// both nodes. With --baseline those counts must also equal the committed
-// ones exactly, for the same pages/page-kb/epochs/locks shape.
+// twins_created == 0, protect_calls as below, and zero retries and
+// dsm.invariant.violations on both nodes. With --baseline those counts must
+// also equal the committed ones exactly, for the same
+// pages/page-kb/epochs/locks shape.
+//
+// protect_calls counts rank 1's application-view mprotect calls. Each epoch
+// makes one per page install (READ_ONLY) and one per write upgrade (DIRTY),
+// one for the flush that downgrades the whole dirty run, and one for the
+// departure that invalidates the whole run the home rewrote (none in epoch
+// 0, which starts with no copies): 2 x pages x epochs + 2 x epochs - 1.
+// The lock cycles dirty nothing, so their grants invalidate nothing.
 //
 // Fetch and lock-grant latency (the real `dsm.fetch_ns` /
 // `dsm.lock_grant_ns` histograms on rank 1, from the median rep by fetch
@@ -50,6 +58,7 @@ struct HotpathCounts {
   std::int64_t page_fetches = 0;
   std::int64_t twins_shared = 0;
   std::int64_t twins_created = 0;
+  std::int64_t protect_calls = 0;
   std::int64_t retries = 0;
   std::int64_t invariant_violations = 0;
 };
@@ -129,6 +138,7 @@ HotpathRow run_once(const Shape& shape, int epochs) {
   row.counts.page_fetches = remote.page_fetches;
   row.counts.twins_shared = remote.twins_shared;
   row.counts.twins_created = remote.twins_created;
+  row.counts.protect_calls = remote.protect_calls;
   for (NodeId n = 0; n < 2; ++n) {
     row.counts.retries += cluster.node(n).stats().snapshot().retries;
     row.counts.invariant_violations +=
@@ -142,6 +152,8 @@ HotpathRow run_once(const Shape& shape, int epochs) {
 int check_signature(const HotpathCounts& c, const Shape& shape, int rep) {
   const std::int64_t expected_fetches =
       static_cast<std::int64_t>(shape.pages) * shape.epochs;
+  const std::int64_t expected_protects =
+      2 * expected_fetches + 2 * static_cast<std::int64_t>(shape.epochs) - 1;
   const struct {
     const char* what;
     bool ok;
@@ -149,6 +161,8 @@ int check_signature(const HotpathCounts& c, const Shape& shape, int rep) {
       {"page_fetches == pages x epochs", c.page_fetches == expected_fetches},
       {"twins_shared == page_fetches", c.twins_shared == c.page_fetches},
       {"twins_created == 0", c.twins_created == 0},
+      {"protect_calls == 2 x pages x epochs + 2 x epochs - 1",
+       c.protect_calls == expected_protects},
       {"retries == 0", c.retries == 0},
       {"dsm.invariant.violations == 0", c.invariant_violations == 0},
   };
@@ -184,6 +198,8 @@ bool write_json(const std::string& path, const Shape& shape,
   w.value(row.counts.twins_shared);
   w.key("twins_created");
   w.value(row.counts.twins_created);
+  w.key("protect_calls");
+  w.value(row.counts.protect_calls);
   w.key("retries");
   w.value(row.counts.retries);
   w.key("invariant_violations");
@@ -249,6 +265,7 @@ int check_baseline(const std::string& path, const Shape& shape,
       {"page_fetches", fresh.page_fetches},
       {"twins_shared", fresh.twins_shared},
       {"twins_created", fresh.twins_created},
+      {"protect_calls", fresh.protect_calls},
       {"retries", fresh.retries},
       {"invariant_violations", fresh.invariant_violations},
   };
@@ -307,14 +324,15 @@ int main(int argc, char** argv) {
 
   std::printf(
       "DSM hot path, 2 nodes, %d x %ldKB pages, %d epochs (wall clock)\n"
-      "  rank 1: %lld fetches, %lld shared twins, %lld copied twins; "
-      "%lld retries, %lld invariant violations\n"
+      "  rank 1: %lld fetches, %lld shared twins, %lld copied twins, "
+      "%lld protect calls; %lld retries, %lld invariant violations\n"
       "  info: fetch p50 %.0f ns  mean %.0f ns  p95 %.0f ns  "
       "grant p50 %.0f ns\n",
       shape.pages, shape.page_kb, shape.epochs,
       static_cast<long long>(row.counts.page_fetches),
       static_cast<long long>(row.counts.twins_shared),
       static_cast<long long>(row.counts.twins_created),
+      static_cast<long long>(row.counts.protect_calls),
       static_cast<long long>(row.counts.retries),
       static_cast<long long>(row.counts.invariant_violations),
       row.fetch_p50_ns, row.fetch_mean_ns, row.fetch_p95_ns,

@@ -71,6 +71,25 @@ std::vector<PageId> end() {
 bool active() { return t_depth > 0; }
 }  // namespace cs_tracking
 
+namespace {
+/// Sorts `items` (each with a `.page`) by page, keeps the first item of each
+/// page, and returns their pages: the ascending, distinct list protect_runs
+/// wants. A malformed frame repeating a page loses the repeats.
+template <typename T>
+std::vector<PageId> sort_by_page(std::vector<T>& items) {
+  std::stable_sort(items.begin(), items.end(), [](const T& a, const T& b) {
+    return a.page < b.page;
+  });
+  items.erase(std::unique(items.begin(), items.end(),
+                          [](const T& a, const T& b) { return a.page == b.page; }),
+              items.end());
+  std::vector<PageId> pages;
+  pages.reserve(items.size());
+  for (const T& item : items) pages.push_back(item.page);
+  return pages;
+}
+}  // namespace
+
 // ---------------------------------------------------------------------------
 
 DsmNode::DsmNode(const Topology& topology, net::Channel& channel,
@@ -156,8 +175,7 @@ Status DsmNode::start() {
     if (rank() == 0) {
       // The master starts as home of every page with a zero-filled, readable
       // copy; everyone else faults pages in on first access.
-      if (Status s = mapping_->protect_app(0, config_.pool_bytes, PROT_READ);
-          !s) {
+      if (Status s = protect(0, config_.num_pages(), PROT_READ); !s) {
         return s;
       }
       for (std::size_t p = 0; p < config_.num_pages(); ++p) {
@@ -173,11 +191,7 @@ Status DsmNode::start() {
       PageEntry& entry = pages_->entry(page);
       entry.home = rules::default_home(page, size(), /*sharded=*/true);
       if (entry.home != rank()) continue;
-      if (Status s = mapping_->protect_app(p * config_.page_bytes,
-                                           config_.page_bytes, PROT_READ);
-          !s) {
-        return s;
-      }
+      if (Status s = protect(page, 1, PROT_READ); !s) return s;
       entry.state = PageState::kReadOnly;
     }
   }
@@ -292,11 +306,49 @@ std::byte* DsmNode::sys_page(PageId page) const {
   return mapping_->real_address(View::kSys, page, 0);
 }
 
-void DsmNode::protect(PageId page, int prot) {
-  Status s = mapping_->protect_app(
-      static_cast<std::size_t>(page) * config_.page_bytes, config_.page_bytes,
-      prot);
-  PARADE_CHECK_MSG(s.is_ok(), s.message());
+Status DsmNode::protect(PageId first, std::size_t count, int prot) {
+  stats_.inc_protect_calls();
+  return mapping_->protect_app(
+      static_cast<std::size_t>(first) * config_.page_bytes,
+      count * config_.page_bytes, prot);
+}
+
+template <typename Select, typename Apply>
+void DsmNode::protect_runs(const std::vector<PageId>& pages, int prot,
+                           Select select, Apply apply) {
+  // The open run is pages[run_begin, run_begin + run_len): consecutive page
+  // ids whose entry locks are held, taken in ascending page order (the only
+  // place that holds two entry locks, so ascending order is the whole
+  // deadlock story). The locks are held by hand, so a run costs no
+  // allocation.
+  std::size_t run_begin = 0;
+  std::size_t run_len = 0;
+  const auto close_run = [&] {
+    if (run_len == 0) return;
+    const Status s = protect(pages[run_begin], run_len, prot);
+    PARADE_CHECK_MSG(s.is_ok(), s.message());
+    for (std::size_t i = run_begin; i < run_begin + run_len; ++i) {
+      PageEntry& entry = pages_->entry(pages[i]);
+      apply(i, entry);
+      entry.mutex.unlock();
+    }
+    run_len = 0;
+  };
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    PARADE_CHECK_MSG(i == 0 || pages[i - 1] < pages[i],
+                     "protect_runs needs ascending, distinct pages");
+    PageEntry& entry = pages_->entry(pages[i]);
+    std::unique_lock lock(entry.mutex);
+    if (!select(i, entry)) continue;
+    if (run_len > 0 &&
+        pages[i] != pages[run_begin] + static_cast<PageId>(run_len)) {
+      close_run();
+    }
+    if (run_len == 0) run_begin = i;
+    ++run_len;
+    lock.release();  // close_run unlocks
+  }
+  close_run();
 }
 
 // ---------------------------------------------------------------------------
@@ -418,7 +470,8 @@ void DsmNode::upgrade_to_dirty(PageId page, PageEntry& entry) {
     const int privatized = twins_->mark_unstable(rank(), page);
     if (privatized > 0) stats_.inc_twin_privatizations(privatized);
   }
-  protect(page, PROT_READ | PROT_WRITE);
+  const Status s = protect(page, 1, PROT_READ | PROT_WRITE);
+  PARADE_CHECK_MSG(s.is_ok(), s.message());
   set_state(entry, page, PageState::kDirty);
   {
     std::lock_guard dirty_lock(dirty_mutex_);
@@ -438,7 +491,9 @@ std::vector<PageId> DsmNode::drain_dirty_now() {
   return pages;
 }
 
-void DsmNode::flush_pages(const std::vector<PageId>& pages) {
+void DsmNode::flush_pages(std::vector<PageId>& pages) {
+  std::sort(pages.begin(), pages.end());
+  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
   if (pages.empty()) return;
   std::lock_guard flush_lock(flush_mutex_);
   auto* clock = vtime::thread_clock();
@@ -448,52 +503,63 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages) {
     std::vector<std::uint8_t> payload;  // kept for retransmission
     VirtualUs stamp;
   };
-  std::unordered_map<std::uint32_t, PendingDiff> pending;  // by seq
-  for (const PageId page : pages) {
-    PageEntry& entry = pages_->entry(page);
-    std::unique_lock lock(entry.mutex);
-    if (entry.state != PageState::kDirty) continue;  // already flushed
-
-    if (entry.home == rank()) {
-      // Dirty window over: re-stabilize the frame so future serves can be
-      // shared again (bumps the frame version past the unstable epoch).
-      twins_->mark_stable(rank(), page);
-      protect(page, PROT_READ);
-      set_state(entry, page, PageState::kReadOnly);
-      continue;
-    }
-
-    const std::uint32_t seq = next_seq();
-    std::size_t diff_bytes = 0;
-    std::vector<std::uint8_t> payload;
-    // Diff runs stream from the sys view straight into the wire buffer
-    // (codec<DiffMsg> layout). The pristine copy — CoW alias of the home's
-    // frame or private twin frame — is read inside the registry's critical
-    // section so a concurrent privatization cannot swap it mid-diff.
-    WireBuffer buffer;
-    buffer.put(page);
-    buffer.put(seq);
-    const bool had_twin =
-        twins_->with_twin(rank(), page, [&](const std::byte* pristine) {
-          diff_bytes = append_diff(
-              buffer, reinterpret_cast<const std::uint8_t*>(sys_page(page)),
-              reinterpret_cast<const std::uint8_t*>(pristine),
-              config_.page_bytes);
-        });
-    check_invariant(had_twin, "twin.present", page);
-    if (had_twin && diff_bytes > 0) payload = std::move(buffer).take();
-    entry.release_twin(*twins_, rank(), page);
-    protect(page, PROT_READ);
-    set_state(entry, page, PageState::kReadOnly);
-    const NodeId home = entry.home;
-    lock.unlock();
-
-    if (diff_bytes == 0) continue;  // page written but unchanged
-    stats_.inc_diffs_created();
-    stats_.inc_diff_bytes_sent(static_cast<std::int64_t>(diff_bytes));
-    const VirtualUs stamp = vtime::charge_send(config_.net.send_overhead_us);
-    post(home, kTagDiff, payload, stamp);
-    pending.emplace(seq, PendingDiff{home, std::move(payload), stamp});
+  // By seq, so page order: seqs are drawn in page order below, and the
+  // diffs are posted once the entry locks are dropped.
+  std::map<std::uint32_t, PendingDiff> pending;
+  // Each run of DIRTY pages goes read-only in one call *before* its diffs
+  // are taken: a store by another thread of this node either lands before
+  // the downgrade (and the diff carries it) or faults and waits on the
+  // entry lock (and re-dirties the page).
+  protect_runs(
+      pages, PROT_READ,
+      [](std::size_t, PageEntry& entry) {
+        return entry.state == PageState::kDirty;  // else already flushed
+      },
+      [&](std::size_t i, PageEntry& entry) {
+        const PageId page = pages[i];
+        set_state(entry, page, PageState::kReadOnly);
+        if (entry.home == rank()) {
+          // Dirty window over: re-stabilize the frame so future serves can
+          // be shared again (bumps the frame version past the unstable
+          // epoch).
+          twins_->mark_stable(rank(), page);
+          return;
+        }
+        const std::uint32_t seq = next_seq();
+        std::size_t diff_bytes = 0;
+        // Diff runs stream from the sys view straight into the wire buffer
+        // (codec<DiffMsg> layout). The pristine copy — CoW alias of the
+        // home's frame or private twin frame — is read inside the registry's
+        // critical section so a concurrent privatization cannot swap it
+        // mid-diff.
+        WireBuffer buffer;
+        buffer.put(page);
+        buffer.put(seq);
+        const bool had_twin =
+            twins_->with_twin(rank(), page, [&](const std::byte* pristine) {
+              diff_bytes = append_diff(
+                  buffer,
+                  reinterpret_cast<const std::uint8_t*>(sys_page(page)),
+                  reinterpret_cast<const std::uint8_t*>(pristine),
+                  config_.page_bytes);
+            });
+        check_invariant(had_twin, "twin.present", page);
+        entry.release_twin(*twins_, rank(), page);
+        if (!had_twin || diff_bytes == 0) return;  // written but unchanged
+        // This copy now holds writes the home has not merged. Until it does,
+        // the home's frame still carries the version this copy was served
+        // at, so a sibling's write fault in that window must privatize its
+        // twin: an alias would miss these writes and the next diff would
+        // send their stale bytes over later merges.
+        entry.fetched_version = kNeverFetchedVersion;
+        stats_.inc_diffs_created();
+        stats_.inc_diff_bytes_sent(static_cast<std::int64_t>(diff_bytes));
+        pending.emplace(
+            seq, PendingDiff{entry.home, std::move(buffer).take(),
+                             vtime::charge_send(config_.net.send_overhead_us)});
+      });
+  for (const auto& [seq, diff] : pending) {
+    post(diff.home, kTagDiff, diff.payload, diff.stamp);
   }
   if (pending.empty()) return;
 
@@ -545,7 +611,8 @@ void DsmNode::barrier() {
                        obs::SpanContext{obs::epoch_trace_id(epoch_), 0});
   obs::ScopedHistTimer wait_scope(barrier_wait_hist_);
 
-  flush_pages(drain_dirty_now());
+  std::vector<PageId> dirty = drain_dirty_now();
+  flush_pages(dirty);
 
   // This node's own write notices for the closing interval.
   std::vector<PageId> own_pages;
@@ -801,31 +868,35 @@ void DsmNode::handle_barrier_arrive(const net::Message& message) {
   barrier_gather_.cv.notify_all();
 }
 
-void DsmNode::process_departure(const BarrierDepartMsg& msg) {
-  for (const DepartEntry& e : msg.entries) {
-    PageEntry& entry = pages_->entry(e.page);
-    std::lock_guard lock(entry.mutex);
-    const NodeId old_home = entry.home;
-    entry.home = e.new_home;
+void DsmNode::process_departure(BarrierDepartMsg& msg) {
+  // The root already sends the entries in page order, one per page.
+  const std::vector<PageId> pages = sort_by_page(msg.entries);
+  const std::vector<DepartEntry>& entries = msg.entries;
 
-    // Keep the copy when it is provably current: we are the new home, we
-    // were the old home (all diffs merged into us), or we were the interval's
-    // only modifier.
-    if (rules::keep_copy_on_departure(rank(), e.new_home, old_home,
-                                      e.sole_modifier)) {
-      // The kept copy is current in content but was not stamped by a
-      // versioned serve; a write fault next interval privatizes eagerly
-      // rather than trusting a version from a superseded home epoch.
-      entry.fetched_version = kNeverFetchedVersion;
-      continue;
-    }
-    if (rules::invalidate_applies(entry.state)) {
-      entry.release_twin(*twins_, rank(), e.page);
-      protect(e.page, PROT_NONE);
-      set_state(entry, e.page, PageState::kInvalid);
-      stats_.inc_invalidations();
-    }
-  }
+  protect_runs(
+      pages, PROT_NONE,
+      [&](std::size_t i, PageEntry& entry) {
+        const DepartEntry& e = entries[i];
+        const NodeId old_home = entry.home;
+        entry.home = e.new_home;
+        // Keep the copy when it is provably current: we are the new home, we
+        // were the old home (all diffs merged into us), or we were the
+        // interval's only modifier.
+        if (rules::keep_copy_on_departure(rank(), e.new_home, old_home,
+                                          e.sole_modifier)) {
+          // The kept copy is current in content but was not stamped by a
+          // versioned serve; a write fault next interval privatizes eagerly
+          // rather than trusting a version from a superseded home epoch.
+          entry.fetched_version = kNeverFetchedVersion;
+          return false;
+        }
+        return rules::invalidate_applies(entry.state);
+      },
+      [&](std::size_t i, PageEntry& entry) {
+        entry.release_twin(*twins_, rank(), pages[i]);
+        set_state(entry, pages[i], PageState::kInvalid);
+        stats_.inc_invalidations();
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -880,27 +951,26 @@ void DsmNode::lock_acquire(int lock_id) {
   // Lazy-release consistency, conservatively: invalidate every cached page
   // another node modified under this lock so the critical section sees the
   // most up-to-date values (unless we are its home — diffs merged into us).
-  for (const WriteNotice& notice : grant.notices) {
-    PageEntry& entry = pages_->entry(notice.page);
-    std::lock_guard lock(entry.mutex);
-    if (rules::invalidate_on_lock_notice(entry.state, entry.home, rank(),
-                                         notice.modifier)) {
-      protect(notice.page, PROT_NONE);
-      set_state(entry, notice.page, PageState::kInvalid);
-      stats_.inc_invalidations();
-    }
-  }
+  const std::vector<PageId> pages = sort_by_page(grant.notices);
+  protect_runs(
+      pages, PROT_NONE,
+      [&](std::size_t i, PageEntry& entry) {
+        return rules::invalidate_on_lock_notice(
+            entry.state, entry.home, rank(), grant.notices[i].modifier);
+      },
+      [&](std::size_t i, PageEntry& entry) {
+        set_state(entry, pages[i], PageState::kInvalid);
+        stats_.inc_invalidations();
+      });
 
   cs_tracking::begin();
 }
 
 void DsmNode::lock_release(int lock_id) {
   PARADE_CHECK_MSG(lock_in_range(lock_id), "lock id range");
+  // flush_pages dedups (a page may fault several times across nested
+  // sections); the release's write notices carry the deduped list.
   std::vector<PageId> cs_pages = cs_tracking::end();
-  // Dedup (a page may fault several times across nested sections).
-  std::sort(cs_pages.begin(), cs_pages.end());
-  cs_pages.erase(std::unique(cs_pages.begin(), cs_pages.end()),
-                 cs_pages.end());
   flush_pages(cs_pages);
 
   const NodeId home = static_cast<NodeId>(lock_id % size());
@@ -1062,7 +1132,8 @@ void DsmNode::install_page(const net::Message& message) {
   // either side of the wire.
   std::memcpy(sys_page(reply.page), reply.data.data(), config_.page_bytes);
   entry.fetched_version = reply.version;
-  protect(reply.page, PROT_READ);
+  const Status s = protect(reply.page, 1, PROT_READ);
+  PARADE_CHECK_MSG(s.is_ok(), s.message());
   entry.ready_vtime = message.header.vtime +
                       config_.net.transfer_us(message.payload.size()) +
                       config_.net.recv_overhead_us;

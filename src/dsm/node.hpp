@@ -124,9 +124,11 @@ class DsmNode {
   void upgrade_to_dirty(PageId page, PageEntry& entry);
 
   // --- flush (barrier / lock release) ---
-  /// Sends diffs for the given DIRTY pages to their homes and downgrades them
-  /// to READ_ONLY. Waits for all acks. Serialized by flush_mutex_.
-  void flush_pages(const std::vector<PageId>& pages);
+  /// Sorts and dedups `pages` in place, downgrades the DIRTY ones to
+  /// READ_ONLY (one protection change per run of consecutive pages), then
+  /// sends their diffs to their homes and waits for all acks. Serialized by
+  /// flush_mutex_.
+  void flush_pages(std::vector<PageId>& pages);
   std::vector<PageId> drain_dirty_now();
 
   // --- barrier internals (k-ary gather/scatter tree; flat == degenerate
@@ -141,7 +143,9 @@ class DsmNode {
   void forward_departure(const BarrierDepartMsg& depart,
                          const std::vector<NodeId>& children,
                          VirtualUs base_vtime);
-  void process_departure(const BarrierDepartMsg& msg);
+  /// Applies a departure: home updates, then invalidations (one protection
+  /// change per run). Sorts `msg.entries` by page in place.
+  void process_departure(BarrierDepartMsg& msg);
 
   // --- communication thread ---
   void comm_loop();
@@ -170,7 +174,18 @@ class DsmNode {
   template <typename Accept, typename Resend>
   void await(Tag tag, const char* what, Accept accept, Resend resend);
 
-  void protect(PageId page, int prot);
+  /// mprotect of the application view over pages [first, first + count);
+  /// counted as `dsm.protect_calls`.
+  Status protect(PageId first, std::size_t count, int prot);
+  /// Changes the protection of the pages in `pages` (ascending, distinct)
+  /// that `select(i, entry)` picks to `prot`, with one protect() per run of
+  /// consecutive picked pages. Entry locks are taken in ascending page order
+  /// and held across the run's protection change; `apply(i, entry)` then
+  /// makes each page's state transition, still under that page's lock.
+  /// `select` runs under the page's lock and may update the entry.
+  template <typename Select, typename Apply>
+  void protect_runs(const std::vector<PageId>& pages, int prot, Select select,
+                    Apply apply);
   std::byte* sys_page(PageId page) const;
 
   /// Range checks for ids that arrive off the wire: a frame naming a page

@@ -185,6 +185,7 @@ void Team::single_mark_done(long seq, VirtualUs vtime, const void* payload,
     SingleSlot& slot = singles_[seq];
     slot.done = true;
     slot.done_vtime = vtime;
+    slot.source = payload;
     slot.payload.assign(static_cast<const std::uint8_t*>(payload),
                         static_cast<const std::uint8_t*>(payload) + bytes);
   }
@@ -196,7 +197,11 @@ VirtualUs Team::single_wait_done(long seq, void* out, std::size_t bytes) {
   single_cv_.wait(lock, [&] { return singles_[seq].done; });
   SingleSlot& slot = singles_[seq];
   PARADE_CHECK_MSG(slot.payload.size() == bytes, "single payload mismatch");
-  if (bytes > 0) std::memcpy(out, slot.payload.data(), bytes);
+  // A node-shared `out` is the claimer's own buffer: it already holds the
+  // result, and the claimer may still be reading it.
+  if (bytes > 0 && out != slot.source) {
+    std::memcpy(out, slot.payload.data(), bytes);
+  }
   return slot.done_vtime;
 }
 

@@ -70,7 +70,10 @@ RunResult run_workload(std::optional<std::uint64_t> fault_seed) {
   config.pool_bytes = (kDataPages + 2) * kPageBytes;
   // Chaos-friendly retry knobs: short timeouts so dropped messages recover
   // quickly, a deep attempt budget so partitions can ride out their window.
-  config.retry.timeout_ms = 50;
+  // The fault-free baseline asserts zero retransmissions, so its timeout sits
+  // far above the workload's longest wait (a few ms) even on a loaded host;
+  // with 50 ms a descheduled peer alone could trigger one.
+  config.retry.timeout_ms = fault_seed.has_value() ? 50 : 10'000;
   config.retry.max_attempts = 400;
 
   const Topology topology = Topology::cluster(kNodes);

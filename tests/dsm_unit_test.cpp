@@ -5,9 +5,12 @@
 
 #include <sys/mman.h>
 
+#include <array>
 #include <cstring>
 #include <random>
+#include <vector>
 
+#include "dsm/cluster.hpp"
 #include "dsm/diff.hpp"
 #include "dsm/mapping.hpp"
 #include "dsm/notice.hpp"
@@ -363,6 +366,49 @@ TEST_F(TwinRegistryTest, UnregisterPrivatizesAliasesIntoSurvivors) {
     EXPECT_EQ(src, writer_->real_address(View::kTwin, 0, 0));
   });
   twins_->release_twin(1, 0);
+}
+
+// Protection changes at a barrier go one mprotect per run of consecutive
+// pages: a writer that dirtied pages {3,4,5,7} downgrades them in 2 calls at
+// the flush, and a third node holding read-only copies of them (neither
+// their home nor a writer) invalidates them in 2 calls at the departure.
+TEST(ProtectRuns, BarrierFlushAndDepartureChangeOneRunPerCall) {
+  DsmConfig config;
+  config.pool_bytes = 16 * config.page_bytes;
+  const std::vector<std::size_t> pages = {3, 4, 5, 7};
+  DsmCluster cluster(Topology::cluster(3), config);
+  std::array<DsmStatsSnapshot, 3> before{};
+  std::array<DsmStatsSnapshot, 3> after{};
+  cluster.run([&](NodeId rank) {
+    DsmNode& node = cluster.node(rank);
+    auto* pool = static_cast<volatile std::uint64_t*>(
+        node.shmalloc(config.pool_bytes, config.page_bytes));
+    const std::size_t words = config.page_bytes / sizeof(std::uint64_t);
+    node.barrier();
+    for (const std::size_t p : pages) {
+      if (rank == 1) pool[p * words] = p;        // fetch, then upgrade
+      if (rank == 2) (void)pool[p * words + 1];  // read-only copy
+    }
+    before[static_cast<std::size_t>(rank)] = node.stats().snapshot();
+    node.barrier();
+    after[static_cast<std::size_t>(rank)] = node.stats().snapshot();
+  });
+  cluster.shutdown();
+
+  const auto delta = [&](NodeId rank, std::int64_t DsmStatsSnapshot::*field) {
+    const auto r = static_cast<std::size_t>(rank);
+    return after[r].*field - before[r].*field;
+  };
+  // Node 1 is the pages' only writer: it flushes {3,4,5} and {7}, then
+  // becomes their home and keeps its copies.
+  EXPECT_EQ(delta(1, &DsmStatsSnapshot::diffs_created), 4);
+  EXPECT_EQ(delta(1, &DsmStatsSnapshot::protect_calls), 2);
+  EXPECT_EQ(delta(1, &DsmStatsSnapshot::invalidations), 0);
+  // Node 2 drops all four copies in the same two runs.
+  EXPECT_EQ(delta(2, &DsmStatsSnapshot::invalidations), 4);
+  EXPECT_EQ(delta(2, &DsmStatsSnapshot::protect_calls), 2);
+  // Node 0, the old home, merged the diffs and keeps its copies.
+  EXPECT_EQ(delta(0, &DsmStatsSnapshot::protect_calls), 0);
 }
 
 }  // namespace

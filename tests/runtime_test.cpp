@@ -7,9 +7,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
+#include <random>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -216,6 +219,62 @@ TEST(Runtime, CriticalConventionalCountsCorrectly) {
     EXPECT_EQ(*counter, 5 * num_threads());
   });
   cluster.shutdown();
+}
+
+// A store by one thread into a page that another thread of its node is
+// flushing (at a conventional critical section's release) must reach the
+// home. Thread 0 of each node bumps a lock-protected counter on page P;
+// thread 1 stores the round number into its own word on P right after
+// thread 0 signals the end of its critical section, after a varying delay,
+// so the store lands at varying points of the release's flush. The flush
+// downgrades P before it diffs it, so the store is either in the diff or
+// faults and re-dirties P for the barrier's flush; it is never lost.
+TEST(Runtime, StoreDuringReleaseFlushReachesHome) {
+  constexpr int kRounds = 200;
+  constexpr int kMaxDelayUs = 24;
+  VirtualCluster cluster(config_of(2, 2));
+  std::atomic<int> lost{0};
+  std::atomic<int> first_lost_round{0};
+  cluster.exec([&] {
+    // [0] the counter, [1 + node] that node's thread-1 word: all on P.
+    auto* cells = shmalloc_array<std::int64_t>(1 + num_nodes());
+    std::atomic<int> released{0};  // this node's last signalled round
+    barrier();
+    parallel([&] {
+      std::mt19937 rng(static_cast<unsigned>(17 + thread_id()));
+      for (int round = 1; round <= kRounds; ++round) {
+        if (local_thread_id() == 0) {
+          critical_conventional(0, [&] {
+            cells[0] = cells[0] + 1;
+            released.store(round, std::memory_order_release);
+          });
+        } else {
+          while (released.load(std::memory_order_acquire) < round) {
+            std::this_thread::yield();
+          }
+          const auto until =
+              std::chrono::steady_clock::now() +
+              std::chrono::microseconds(rng() % (kMaxDelayUs + 1));
+          while (std::chrono::steady_clock::now() < until) {
+          }
+          *static_cast<volatile std::int64_t*>(&cells[1 + node_id()]) = round;
+        }
+        barrier();
+        if (local_thread_id() == 0) {
+          for (int n = 0; n < num_nodes(); ++n) {
+            if (cells[1 + n] != round && lost.fetch_add(1) == 0) {
+              first_lost_round.store(round);
+            }
+          }
+        }
+        barrier();
+      }
+    });
+    EXPECT_EQ(cells[0], static_cast<std::int64_t>(kRounds) * num_nodes());
+  });
+  cluster.shutdown();
+  EXPECT_EQ(lost.load(), 0) << "first lost store in round "
+                            << first_lost_round.load();
 }
 
 TEST(Runtime, SingleConventionalExecutesOncePerGeneration) {
