@@ -32,9 +32,9 @@ struct AnalyzeOptions {
   bool flow_sensitive = true;
   /// Run footprint analysis + protocol-hint synthesis: per-symbol
   /// update-vs-invalidate priors that refine the raw threshold comparison
-  /// and seed the runtime's pages (ProtocolHints, translator/hints.hpp).
+  /// (ProtocolHints, translator/hints.hpp).
   bool protocol_hints = true;
-  /// DSM page size used for expected-page-touch estimates.
+  /// DSM page size the message-cost model counts pages in.
   std::size_t page_bytes = 4096;
 };
 
@@ -74,8 +74,6 @@ inline constexpr const char* kDiagStaleReadLoop = "dsm.stale_read_loop";
 inline constexpr const char* kDiagRaceCrossRegion = "race.cross_region";
 inline constexpr const char* kDiagNowaitCrossRegionRead =
     "nowait.cross_region_read";
-inline constexpr const char* kDiagHintPingpongDemotion =
-    "hint.pingpong_update_demotion";
 
 /// Where a file-scope variable is placed by the hybrid protocol selection.
 enum class Placement {
@@ -140,7 +138,7 @@ struct Analysis {
   /// --dataflow report; diagnostics ∪ suppressed == the flow-insensitive set).
   std::vector<Diagnostic> suppressed;
   std::vector<RegionSummary> regions;
-  /// Static protocol priors (empty when AnalyzeOptions::protocol_hints off).
+  /// Static protocol hints (empty when AnalyzeOptions::protocol_hints off).
   ProtocolHints hints;
 
   std::size_t count(Severity severity) const;

@@ -46,6 +46,55 @@ std::string value_type_of(const std::string& decl_type) {
   return out.empty() ? decl_type : out;
 }
 
+/// Calls `fn` on each expression text `stmt` carries itself, children
+/// excluded: statement text, condition, loop header, declarator dimensions
+/// and initializers, and the operands of directive clauses.
+template <typename Fn>
+void for_each_text(const Stmt& stmt, Fn&& fn) {
+  fn(stmt.text);
+  fn(stmt.cond);
+  fn(stmt.for_header.init_text);
+  fn(stmt.for_header.cond_text);
+  fn(stmt.for_header.incr_text);
+  for (const Declarator& d : stmt.declarators) {
+    for (const std::string& dim : d.array_dims) fn(dim);
+    fn(d.init);
+  }
+  if (stmt.kind != StmtKind::kPragma) return;
+  const Clauses& c = stmt.directive.clauses;
+  for (const std::string& v : c.firstprivate) fn(v);
+  for (const std::string& v : c.lastprivate) fn(v);
+  for (const std::string& v : c.copyin) fn(v);
+  for (const auto& [op, v] : c.reductions) {
+    (void)op;
+    fn(v);
+  }
+  fn(c.schedule_chunk);
+  fn(c.if_expr);
+}
+
+/// True when identifier `name` appears anywhere in `stmt`'s subtree (or a
+/// text there fails to lex, so the answer is not known).
+bool mentions(const Stmt& stmt, const std::string& name) {
+  bool found = false;
+  for_each_text(stmt, [&](const std::string& text) {
+    if (found || text.empty()) return;
+    auto tokens = lex(text);
+    if (!tokens.is_ok()) {
+      found = true;
+      return;
+    }
+    for (const Token& t : tokens.value()) {
+      if (t.kind == TokKind::kIdent && t.text == name) found = true;
+    }
+  });
+  if (found) return true;
+  for (const StmtPtr& child : stmt.children) {
+    if (child && mentions(*child, name)) return true;
+  }
+  return false;
+}
+
 struct Symbol {
   std::string type;  // base type text without stars
   int pointer_depth = 0;
@@ -126,6 +175,15 @@ class CodeGen {
   std::string type_of(const std::string& var) const;
   void collect_written_scalars(const Stmt& stmt,
                                std::set<std::string>* names) const;
+  /// Records in used_names_ every identifier of `text` not in `hidden`.
+  void note_uses(const std::string& text,
+                 const std::set<std::string>& hidden);
+  /// Walks a function body ahead of emission. Names a parallel or
+  /// worksharing construct gives private copies (private, firstprivate and
+  /// reduction clauses, the worksharing loop index) are `hidden` inside its
+  /// body and recorded in privatized_names_; every other identifier use
+  /// lands in used_names_.
+  void collect_uses(const Stmt& stmt, const std::set<std::string>& hidden);
   int critical_lock_id(const std::string& name);
 
   Status err(int line, const std::string& message) const {
@@ -143,6 +201,12 @@ class CodeGen {
   std::unordered_map<std::string, int> critical_ids_;
   std::string user_main_params_;
   bool saw_main_ = false;
+  // Per function (collect_uses): a privatized local that is never used
+  // outside its private copies is not declared, so no original is left
+  // unused. A lex failure keeps every declaration.
+  std::set<std::string> used_names_;
+  std::set<std::string> privatized_names_;
+  bool uses_complete_ = true;
 };
 
 std::string CodeGen::rewrite(const std::string& text) const {
@@ -232,6 +296,69 @@ void CodeGen::collect_written_scalars(const Stmt& stmt,
   }
 }
 
+void CodeGen::note_uses(const std::string& text,
+                        const std::set<std::string>& hidden) {
+  if (text.empty()) return;
+  auto tokens = lex(text);
+  if (!tokens.is_ok()) {
+    uses_complete_ = false;
+    return;
+  }
+  for (const Token& t : tokens.value()) {
+    if (t.kind == TokKind::kIdent && hidden.count(t.text) == 0) {
+      used_names_.insert(t.text);
+    }
+  }
+}
+
+void CodeGen::collect_uses(const Stmt& stmt,
+                           const std::set<std::string>& hidden) {
+  for (const Declarator& d : stmt.declarators) {
+    // A declaration inside a privatizing construct shadows the private copy
+    // and must stay.
+    if (hidden.count(d.name) > 0) used_names_.insert(d.name);
+  }
+  const Directive& d = stmt.directive;
+  const bool loop = stmt.kind == StmtKind::kPragma &&
+                    (d.kind == DirectiveKind::kFor ||
+                     d.kind == DirectiveKind::kParallelFor);
+  const bool privatizes =
+      loop || (stmt.kind == StmtKind::kPragma &&
+               d.kind == DirectiveKind::kParallel);
+  // Clause operands (firstprivate snapshots, lastprivate write-backs,
+  // reduction targets, ...) are read or written outside the copies.
+  for_each_text(stmt,
+                [&](const std::string& text) { note_uses(text, hidden); });
+  if (!privatizes) {
+    for (const StmtPtr& child : stmt.children) {
+      if (child) collect_uses(*child, hidden);
+    }
+    return;
+  }
+  const Clauses& c = d.clauses;
+  std::set<std::string> inner = hidden;
+  inner.insert(c.privates.begin(), c.privates.end());
+  inner.insert(c.firstprivate.begin(), c.firstprivate.end());
+  for (const auto& [op, v] : c.reductions) {
+    (void)op;
+    inner.insert(v);
+  }
+  const Stmt* body =
+      stmt.children.empty() ? nullptr : stmt.children.front().get();
+  if (loop && body != nullptr && body->kind == StmtKind::kFor &&
+      body->for_header.canonical) {
+    // The bounds are evaluated before the fork; the index is private.
+    const ForHeader& h = body->for_header;
+    note_uses(h.lower, hidden);
+    note_uses(h.upper, hidden);
+    note_uses(h.step, hidden);
+    inner.insert(h.loop_var);
+    body = body->children.front().get();
+  }
+  privatized_names_.insert(inner.begin(), inner.end());
+  if (body != nullptr) collect_uses(*body, inner);
+}
+
 Status CodeGen::emit_decl(const Stmt& decl) {
   // Register symbols, emit the (rewritten) declaration.
   std::string text = decl.decl_type;
@@ -245,7 +372,13 @@ Status CodeGen::emit_decl(const Stmt& decl) {
     symbol.type = decl.decl_type;
     symbol.pointer_depth = d.pointer_depth;
     symbol.is_array = !d.array_dims.empty();
+    // Still declared as a symbol: the private copies take its type.
     declare(d.name, symbol);
+    if (uses_complete_ && privatized_names_.count(d.name) > 0 &&
+        used_names_.count(d.name) == 0 && d.init.empty() &&
+        d.array_dims.empty() && !d.is_function) {
+      continue;
+    }
 
     text += first ? " " : ", ";
     first = false;
@@ -257,7 +390,7 @@ Status CodeGen::emit_decl(const Stmt& decl) {
     if (d.is_function) text += "()";  // prototypes inside functions are rare
     if (!d.init.empty()) text += " = " + rewrite(d.init);
   }
-  line(text + ";");
+  if (!first) line(text + ";");
   return Status::ok();
 }
 
@@ -451,10 +584,15 @@ Status CodeGen::emit_for(const Directive& d, const Stmt& stmt) {
   open("for (long __it = __lo; __it < __hi; ++__it) {");
   const std::string var_type =
       !h.var_decl_type.empty() ? h.var_decl_type : type_of(h.loop_var);
-  line(var_type + " " + h.loop_var + " = (" + var_type +
-       ")parade::xlat::loop_index((long)(" + rewrite(h.lower) + "), (long)(" +
-       rewrite(h.step) + "), " + (h.increasing ? "true" : "false") +
-       ", __it);");
+  // The index is only materialized for a body (or lastprivate) that uses it.
+  if (mentions(*stmt.children.front(), h.loop_var) ||
+      std::find(c.lastprivate.begin(), c.lastprivate.end(), h.loop_var) !=
+          c.lastprivate.end()) {
+    line(var_type + " " + h.loop_var + " = (" + var_type +
+         ")parade::xlat::loop_index((long)(" + rewrite(h.lower) +
+         "), (long)(" + rewrite(h.step) + "), " +
+         (h.increasing ? "true" : "false") + ", __it);");
+  }
   push_scope();
   declare(h.loop_var, Symbol{var_type, 0, false, false, false});
   if (Status s = emit_stmt(*stmt.children.front()); !s) return s;
@@ -948,6 +1086,10 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
             }
           }
         }
+        used_names_.clear();
+        privatized_names_.clear();
+        uses_complete_ = true;
+        collect_uses(*fn.body, {});
         if (Status s = emit_stmt(*fn.body); !s) return s;
         pop_scope();
         line("");
@@ -970,30 +1112,12 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
 
   if (options_.emit_main_wrapper && saw_main_) {
     const bool wants_args = user_main_params_.find("argc") != std::string::npos;
-    // Static protocol hints ride along as a JSON sidecar; the launcher seeds
-    // DsmConfig::page_priors from it before the first fault (cold-start half
-    // of the adaptive protocol, docs/ANALYZER.md).
-    const bool with_hints =
-        options_.protocol_hints && !analysis_.hints.empty();
-    if (with_hints) {
-      line("static const char __parade_hints_json[] =");
-      line("    R\"__parade_hints(" + analysis_.hints.to_json() +
-           ")__parade_hints\";");
-    }
-    const std::string launch_open =
-        with_hints ? "return parade::xlat::launch(__parade_hints_json, "
-                   : "return parade::xlat::launch(";
     line("int main(int argc, char** argv) {");
     ++indent_;
     line("(void)argc; (void)argv;");
-    if (wants_args) {
-      line(launch_open + "[&]() -> int { "
-           "__parade_shared_init(); return __parade_user_main(argc, argv); "
-           "});");
-    } else {
-      line(launch_open + "[&]() -> int { "
-           "__parade_shared_init(); return __parade_user_main(); });");
-    }
+    line(std::string("return parade::xlat::launch([&]() -> int { "
+                     "__parade_shared_init(); return __parade_user_main(") +
+         (wants_args ? "argc, argv" : "") + "); });");
     --indent_;
     line("}");
   }

@@ -9,11 +9,12 @@
 // output against the ParADE runtime (see README "Translator" section).
 // With --analyze the translator runs diagnose-only: the semantic analysis
 // report (docs/ANALYZER.md) goes to stdout and the exit code is 1 when any
-// error-severity finding exists. With --hints=json it prints the protocol-
-// hint sidecar (per-symbol update-vs-invalidate priors, page-touch counts,
-// pool offsets) that the generated launch wrapper would embed; --no-hints
-// disables hint synthesis so collective-vs-DSM lowering falls back to the
-// raw size-threshold comparison.
+// error-severity finding exists. With --hints=json it prints the protocol
+// hints the translator derived (per-symbol footprints and update-vs-
+// invalidate priors, per-phase sharing patterns); they only steer
+// collective-vs-DSM lowering and are not shipped to the runtime. --no-hints
+// disables hint synthesis so that lowering falls back to the raw
+// size-threshold comparison.
 #include <cstdio>
 #include <fstream>
 #include <sstream>

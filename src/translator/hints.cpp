@@ -28,20 +28,11 @@ const SymbolHint* ProtocolHints::find(const std::string& name) const {
   return nullptr;
 }
 
-SymbolHint* ProtocolHints::find(const std::string& name) {
-  for (SymbolHint& h : symbols) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
-
 std::string ProtocolHints::to_json() const {
   obs::JsonWriter w;
   w.begin_object();
   w.key("version");
-  w.value(std::int64_t{2});
-  w.key("epoch_base");
-  w.value(static_cast<std::int64_t>(epoch_base));
+  w.value(std::int64_t{3});
   w.key("phase_count");
   w.value(static_cast<std::int64_t>(phase_count));
   w.key("page_bytes");
@@ -64,18 +55,8 @@ std::string ProtocolHints::to_json() const {
     w.value(static_cast<std::int64_t>(h.footprint_bytes));
     w.key("writer_constructs");
     w.value(static_cast<std::int64_t>(h.writer_constructs));
-    w.key("dsm");
-    w.value(h.dsm);
-    w.key("offset_known");
-    w.value(h.offset_known);
-    w.key("pool_offset");
-    w.value(static_cast<std::int64_t>(h.pool_offset));
     w.key("prefer_update");
     w.value(h.prefer_update);
-    w.key("migration_friendly");
-    w.value(h.migration_friendly);
-    w.key("expected_page_touches");
-    w.value(static_cast<std::int64_t>(h.expected_page_touches));
     w.end_object();
   }
   w.end_array();
@@ -91,16 +72,8 @@ std::string ProtocolHints::to_json() const {
       w.begin_object();
       w.key("symbol");
       w.value(r.symbol);
-      w.key("offset");
-      w.value(static_cast<std::int64_t>(r.offset));
-      w.key("bytes");
-      w.value(static_cast<std::int64_t>(r.bytes));
       w.key("pattern");
       w.value(to_string(r.pattern));
-      w.key("prefer_update");
-      w.value(r.prefer_update);
-      w.key("migration_friendly");
-      w.value(r.migration_friendly);
       w.end_object();
     }
     w.end_array();
@@ -363,20 +336,11 @@ void synthesize_hints(const TranslationUnit& unit,
     h.writes = acc.writes;
     h.footprint_bytes = acc.footprint;
     h.writer_constructs = static_cast<int>(acc.writer_constructs.size());
-    // Single-writer symbols benefit from home migration (the home chases
-    // the writer, paper §5.2.2); multi-writer data would thrash.
-    h.migration_friendly = h.writer_constructs <= 1;
     // Update-vs-invalidate prior: read-dominated small data amortizes the
     // eager update; write-dominated or large data is cheaper invalidated.
     h.prefer_update = vc.byte_size > 0 &&
                       vc.byte_size <= 4 * options.mp_threshold_bytes &&
                       acc.writes > 0 && acc.reads >= 2 * acc.writes;
-    const std::size_t span =
-        h.footprint_bytes > 0 ? h.footprint_bytes : h.byte_size;
-    if (span > 0) {
-      h.expected_page_touches =
-          (span + options.page_bytes - 1) / options.page_bytes;
-    }
     hints.symbols.push_back(std::move(h));
   }
   analysis->hints = std::move(hints);

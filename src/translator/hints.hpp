@@ -1,14 +1,13 @@
 // Static protocol hints: the translation-time half of the adaptive hybrid
-// protocol (ROADMAP item 4, docs/ANALYZER.md "ProtocolHints hand-off").
+// protocol (docs/ANALYZER.md "Protocol hints").
 //
 // The affine footprint analysis estimates, per file-scope symbol, how much
 // of it each parallel construct touches and at what read/write ratio. Hint
-// synthesis lowers those footprints into per-symbol priors — prefer the
-// update (collective) path or the invalidate (page) path, expected
-// page-touch count, whether home migration is likely to help — which (a)
-// refine codegen's raw mp_threshold_bytes comparison and (b) ship as a JSON
-// sidecar the runtime loads to seed DsmConfig::page_priors before the first
-// fault (src/dsm/priors.hpp).
+// synthesis lowers those footprints into a per-symbol update-vs-invalidate
+// prior that refines codegen's raw mp_threshold_bytes comparison: a
+// threshold-fallback critical/atomic whose symbol prefers the update path is
+// promoted to update-by-collective. The hints end at codegen; the runtime
+// reads none of them (the DSM moves homes by its own barrier-time rule).
 #pragma once
 
 #include <cstddef>
@@ -24,13 +23,7 @@ struct SymbolHint {
   std::size_t writes = 0;
   std::size_t footprint_bytes = 0; // largest per-construct affine footprint
   int writer_constructs = 0;       // distinct parallel constructs writing it
-
-  bool dsm = false;                // placed in the DSM pool
-  bool offset_known = false;       // pool_offset mirrors codegen's shmalloc
-  std::size_t pool_offset = 0;     // byte offset inside the DSM pool
   bool prefer_update = false;      // update-by-collective over invalidate
-  bool migration_friendly = true;  // single-writer: home migration pays off
-  std::size_t expected_page_touches = 0;
 };
 
 /// Cross-phase sharing classification of one symbol's page footprint
@@ -44,19 +37,14 @@ enum class SharingPattern {
 
 const char* to_string(SharingPattern pattern);
 
-/// One phase-scoped hint range over the DSM pool: the [offset, offset+bytes)
-/// slice of a symbol's placement, valid for exactly one program phase.
+/// The sharing pattern of one DSM-placed symbol in one program phase.
 struct PhaseRange {
   std::string symbol;
-  std::size_t offset = 0;  // byte offset inside the DSM pool
-  std::size_t bytes = 0;
   SharingPattern pattern = SharingPattern::kReadMostly;
-  bool prefer_update = false;
-  bool migration_friendly = true;
 };
 
-/// All ranges active during one phase (phases are numbered from 0 in program
-/// order; the runtime maps phase p to DSM epoch p + epoch_base).
+/// All classified symbols of one phase (phases are numbered from 0 in
+/// program order).
 struct PhaseHint {
   int index = 0;
   std::vector<PhaseRange> ranges;
@@ -67,20 +55,13 @@ struct ProtocolHints {
   std::size_t threshold_bytes = 256;
   std::vector<SymbolHint> symbols;
 
-  /// Phase-aware refinement (interference pass; empty = single-phase or the
-  /// pass was disabled, in which case the whole-program symbol flags apply).
+  /// Per-phase sharing classification (interference pass; empty when the
+  /// phase timeline is not static or the pass was disabled).
   std::vector<PhaseHint> phases;
   int phase_count = 0;  // barrier-delimited phases seen in the program
-  /// DSM epoch that phase 0 starts at: 1 when codegen emits the shared-init
-  /// barrier (epoch 0 is initialization), 0 otherwise.
-  int epoch_base = 0;
 
-  bool empty() const { return symbols.empty(); }
   const SymbolHint* find(const std::string& name) const;
-  SymbolHint* find(const std::string& name);
-  /// JSON sidecar consumed by dsm::load_page_priors (schema in
-  /// docs/ANALYZER.md). Version 2: adds `epoch_base` and a `phases` array on
-  /// top of the v1 per-symbol records.
+  /// The `parade_omcc --hints=json` report (schema in docs/ANALYZER.md).
   std::string to_json() const;
 };
 

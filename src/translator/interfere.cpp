@@ -82,16 +82,6 @@ class SeqWalker {
     }
     seq_.phase_count = phase_ + 1;
     seq_.step_count = step_ + 1;
-    for (const auto& [name, vc] : analysis_.globals) {
-      (void)name;
-      if (vc.placement == Placement::kDsmScalar ||
-          vc.placement == Placement::kDsmArray) {
-        // Codegen allocates the DSM pool in __parade_shared_init(), which
-        // ends with a global barrier: user phase 0 starts at epoch 1.
-        seq_.epoch_base = 1;
-        break;
-      }
-    }
     return std::move(seq_);
   }
 
@@ -632,78 +622,26 @@ bool may_happen_in_parallel(const SeqAccess& a, const SeqAccess& b) {
   return true;
 }
 
-void run_interference(const TranslationUnit& unit,
-                      const AnalyzeOptions& options, Analysis* analysis) {
+void run_interference(const TranslationUnit& unit, Analysis* analysis) {
   const RegionSequence seq = build_region_sequence(unit, *analysis);
   ProtocolHints& hints = analysis->hints;
   hints.phase_count = seq.phase_count;
-  hints.epoch_base = seq.epoch_base;
 
   const Timeline timeline = build_timeline(seq, *analysis);
 
-  // --- Phase-aware hint lowering -----------------------------------------
-  // Per-phase ranges reuse PR 8's flag formulas over the phase-restricted
-  // access counts, so a single-phase program degrades to exactly the
-  // whole-program hints (asserted as a property test).
+  // --- Per-phase sharing classification ---------------------------------
+  // One record per (phase, DSM-placed symbol) of the timeline.
   if (seq.phases_static) {
     std::map<int, PhaseHint> by_phase;
     for (const auto& [symbol, phases] : timeline) {
-      const SymbolHint* h = hints.find(symbol);
-      if (h == nullptr || !h->dsm || !h->offset_known) continue;
-      std::size_t span = h->byte_size > 0 ? h->byte_size : h->footprint_bytes;
-      if (span == 0) span = options.page_bytes;
       for (const auto& [phase, acc] : phases) {
-        PhaseRange r;
-        r.symbol = symbol;
-        r.offset = h->pool_offset;
-        r.bytes = span;
-        r.pattern = acc.pattern;
-        r.prefer_update = h->byte_size > 0 &&
-                          h->byte_size <= 4 * options.mp_threshold_bytes &&
-                          acc.writes > 0 && acc.reads >= 2 * acc.writes;
-        r.migration_friendly = acc.writer_constructs.size() <= 1;
-        by_phase[phase].ranges.push_back(std::move(r));
+        by_phase[phase].ranges.push_back(PhaseRange{symbol, acc.pattern});
       }
     }
     for (auto& [phase, ph] : by_phase) {
       ph.index = phase;
       hints.phases.push_back(std::move(ph));
     }
-  }
-
-  // --- hint.pingpong_update_demotion -------------------------------------
-  // A symbol that ping-pongs in every phase that writes it never amortizes
-  // the eager update broadcast: every node's copy is dirtied again before
-  // being read enough times to pay off. Demote the whole-program
-  // prefer_update flag (and its per-phase projections) and tell the user.
-  for (const auto& [symbol, phases] : timeline) {
-    SymbolHint* h = hints.find(symbol);
-    if (h == nullptr || !h->prefer_update) continue;
-    bool any_writes = false;
-    bool all_pingpong = true;
-    for (const auto& [phase, acc] : phases) {
-      (void)phase;
-      if (acc.writes == 0) continue;
-      any_writes = true;
-      if (acc.pattern != SharingPattern::kPingPong) all_pingpong = false;
-    }
-    if (!any_writes || !all_pingpong) continue;
-    h->prefer_update = false;
-    for (PhaseHint& ph : hints.phases) {
-      for (PhaseRange& r : ph.ranges) {
-        if (r.symbol == symbol) r.prefer_update = false;
-      }
-    }
-    Diagnostic d;
-    d.code = kDiagHintPingpongDemotion;
-    d.severity = Severity::kNote;
-    d.line = analysis->globals.at(symbol).line;
-    d.var = symbol;
-    d.message = "'" + symbol +
-                "' ping-pongs between nodes in every writing phase; "
-                "update-protocol prior demoted to invalidate";
-    resolve_diag_columns(unit, &d);
-    analysis->diagnostics.push_back(std::move(d));
   }
 
   // --- race.cross_region -------------------------------------------------

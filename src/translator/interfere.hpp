@@ -14,11 +14,10 @@
 //     single/master instance (master is global thread 0, so master bodies
 //     never overlap each other),
 //  3. classifies each DSM symbol's page footprint per phase as read-mostly /
-//     producer-consumer / migratory / ping-pong and lowers the result into
-//     the `phases` array of the ProtocolHints sidecar (epoch-ranged priors,
-//     src/dsm/priors.hpp),
-//  4. emits the cross-region diagnostics race.cross_region,
-//     nowait.cross_region_read, and hint.pingpong_update_demotion, and
+//     producer-consumer / migratory / ping-pong and reports the result as
+//     the `phases` array of ProtocolHints (`parade_omcc --hints=json`),
+//  4. emits the cross-region diagnostics race.cross_region and
+//     nowait.cross_region_read, and
 //  5. prices the timeline: a static message-cost estimate per construct
 //     (`parade_lint --cost`) checked end-to-end against observed dsm.*
 //     counters.
@@ -85,9 +84,6 @@ struct RegionSequence {
   /// then not statically enumerable, so phase-aware hints are withheld
   /// (diagnostics and cost estimates still apply).
   bool phases_static = true;
-  /// DSM epoch of phase 0 (1 when codegen emits the shared-init barrier,
-  /// i.e. when any symbol lives in the DSM pool).
-  int epoch_base = 0;
 };
 
 /// Builds the region-sequence graph for `unit`. `analysis` supplies symbol
@@ -99,12 +95,10 @@ RegionSequence build_region_sequence(const TranslationUnit& unit,
 /// MHP over the region-sequence graph (rule 2 in the header comment).
 bool may_happen_in_parallel(const SeqAccess& a, const SeqAccess& b);
 
-/// Runs the interference pass: fills analysis->hints.{phases, phase_count,
-/// epoch_base}, demotes prefer_update for symbols that ping-pong in every
-/// writing phase, and appends the cross-region diagnostics. Called from
-/// analyze() when both flow_sensitive and protocol_hints are on.
-void run_interference(const TranslationUnit& unit,
-                      const AnalyzeOptions& options, Analysis* analysis);
+/// Runs the interference pass: fills analysis->hints.{phases, phase_count}
+/// and appends the cross-region diagnostics. Called from analyze() when
+/// both flow_sensitive and protocol_hints are on.
+void run_interference(const TranslationUnit& unit, Analysis* analysis);
 
 /// Static message-cost prediction for one construct (totals across all
 /// nodes; see docs/ANALYZER.md "Message-cost model" for the formulas).

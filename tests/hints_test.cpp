@@ -1,10 +1,10 @@
 // Protocol-hint synthesis tests (docs/ANALYZER.md "Protocol hints"): affine
 // footprints from literal loop bounds, the update-vs-invalidate prior rule,
-// SPMD pool offsets mirroring codegen's allocation order, the hint-driven
-// promotion that replaces the raw threshold comparison in collective-vs-DSM
-// lowering (including the revert when the symbol is pinned to the DSM pool),
-// the embedded sidecar in generated programs, and the parade_omcc
-// --hints=json CLI surface.
+// the hint-driven promotion that replaces the raw threshold comparison in
+// collective-vs-DSM lowering (including the revert when the symbol is pinned
+// to the DSM pool, and the sync.dsm_fallback note following the final
+// lowering), the generated launch call, and the parade_omcc --hints=json CLI
+// surface.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -20,6 +20,13 @@ namespace {
 
 Analysis analyze_ok(const std::string& source, AnalyzeOptions options = {}) {
   return analyze_source(source, options).value_or_die();
+}
+
+bool has_dsm_fallback_note(const Analysis& analysis, const std::string& var) {
+  for (const Diagnostic& d : analysis.diagnostics) {
+    if (d.code == kDiagSyncDsmFallback && d.var == var) return true;
+  }
+  return false;
 }
 
 // The corpus program for the lowering flip: an 8-byte double guarded by a
@@ -62,8 +69,6 @@ TEST(Hints, AffineArrayFootprintFromLiteralBounds) {
   EXPECT_EQ(h->footprint_bytes, 16u * 8u * 8u);
   EXPECT_EQ(h->byte_size, 64u * 64u * 8u);
   EXPECT_EQ(h->writer_constructs, 1);
-  EXPECT_TRUE(h->migration_friendly);
-  EXPECT_EQ(h->expected_page_touches, (16u * 8u * 8u + 4095u) / 4096u);
 }
 
 TEST(Hints, SymbolicBoundResolvedFromFileScopeLiteral) {
@@ -111,6 +116,8 @@ TEST(Hints, PromotionFlipsThresholdFallbackToCollective) {
     EXPECT_NE(dec.reason.find("promoted"), std::string::npos) << dec.reason;
   }
   EXPECT_TRUE(found);
+  // The promoted site no longer takes the DSM lock path.
+  EXPECT_FALSE(has_dsm_fallback_note(with_hints, "acc"));
 
   options.protocol_hints = false;
   const Analysis without = analyze_ok(kFlipProgram, options);
@@ -120,6 +127,7 @@ TEST(Hints, PromotionFlipsThresholdFallbackToCollective) {
     EXPECT_FALSE(dec.collective);
     EXPECT_TRUE(dec.threshold_fallback);
   }
+  EXPECT_TRUE(has_dsm_fallback_note(without, "acc"));
 }
 
 TEST(Hints, PromotionChangesEmittedLowering) {
@@ -197,32 +205,40 @@ TEST(Hints, DefaultThresholdCorpusLoweringUnchanged) {
   }
 }
 
-TEST(Hints, PoolOffsetsFollowDeclarationOrderAligned) {
+TEST(Hints, RevertedPromotionKeepsDsmFallbackNote) {
+  // `s` is read twice per write, so the 4-byte-threshold fallback is
+  // promoted; the unguarded `s = t` then pins `s` to the DSM pool, so the
+  // promotion reverts and the site stays on the DSM lock path, note and all.
+  AnalyzeOptions options;
+  options.mp_threshold_bytes = 4;
   const Analysis a = analyze_ok(
-      "double u[100];\n"
-      "double f[100];\n"
+      "double s;\n"
+      "double t;\n"
       "int main(void) {\n"
       "  int i;\n"
       "  #pragma omp parallel for\n"
-      "  for (i = 0; i < 100; i++) {\n"
-      "    u[i] = f[i];\n"
+      "  for (i = 0; i < 8; i++) {\n"
+      "    #pragma omp critical\n"
+      "    s = s + t * s;\n"
+      "    t = s + s;\n"
+      "    s = t;\n"
       "  }\n"
       "  return 0;\n"
-      "}\n");
-  const SymbolHint* u = a.hints.find("u");
-  const SymbolHint* f = a.hints.find("f");
-  ASSERT_NE(u, nullptr);
-  ASSERT_NE(f, nullptr);
-  EXPECT_TRUE(u->dsm);
-  EXPECT_TRUE(f->dsm);
-  ASSERT_TRUE(u->offset_known);
-  ASSERT_TRUE(f->offset_known);
-  // `u` is declared first: offset 0; `f` follows at the next 64-byte slot.
-  EXPECT_EQ(u->pool_offset, 0u);
-  EXPECT_EQ(f->pool_offset, (100u * 8u + 63u) & ~std::size_t{63});
+      "}\n",
+      options);
+  bool found = false;
+  for (const auto& [line, dec] : a.sync_sites) {
+    (void)line;
+    if (dec.var != "s") continue;
+    found = true;
+    EXPECT_FALSE(dec.collective) << dec.reason;
+    EXPECT_NE(dec.reason.find("reverted"), std::string::npos) << dec.reason;
+  }
+  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_dsm_fallback_note(a, "s"));
 }
 
-TEST(Hints, SidecarJsonRoundTrips) {
+TEST(Hints, HintsJsonRoundTrips) {
   const Analysis a = analyze_ok(
       "double u[100];\n"
       "int main(void) {\n"
@@ -234,23 +250,23 @@ TEST(Hints, SidecarJsonRoundTrips) {
   auto doc = obs::parse_json(a.hints.to_json());
   ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();
   ASSERT_TRUE(doc.value().is_object());
-  EXPECT_EQ(doc.value().at("version").as_int(), 2);
+  EXPECT_EQ(doc.value().at("version").as_int(), 3);
   EXPECT_EQ(doc.value().at("page_bytes").as_int(), 4096);
   ASSERT_TRUE(doc.value().at("symbols").is_array());
   bool found_u = false;
   for (const auto& symbol : doc.value().at("symbols").array) {
     if (symbol.at("name").string != "u") continue;
     found_u = true;
-    EXPECT_TRUE(symbol.at("dsm").boolean);
-    EXPECT_TRUE(symbol.at("offset_known").boolean);
+    EXPECT_EQ(symbol.at("bytes").as_int(), 800);
+    EXPECT_EQ(symbol.at("writes").as_int(), 1);
+    EXPECT_FALSE(symbol.at("prefer_update").boolean);
   }
   EXPECT_TRUE(found_u);
 }
 
-TEST(Hints, SidecarV2CarriesPhasedRanges) {
-  // Two worksharing phases over one array: the v2 sidecar must expose the
-  // interference pass's phase records with sharing patterns and the
-  // epoch_base the runtime folds phase indices with.
+TEST(Hints, HintsJsonCarriesPhasePatterns) {
+  // Two worksharing phases over one array: the report must expose the
+  // interference pass's per-phase sharing patterns.
   const Analysis a = analyze_ok(
       "double u[1024];\n"
       "double v[1024];\n"
@@ -263,12 +279,10 @@ TEST(Hints, SidecarV2CarriesPhasedRanges) {
       "  for (j = 0; j < 1024; j++) { v[j] = u[j] * 2.0; }\n"
       "  return 0;\n"
       "}\n");
-  EXPECT_EQ(a.hints.epoch_base, 1);
   EXPECT_GT(a.hints.phase_count, 1);
   ASSERT_FALSE(a.hints.phases.empty());
   auto doc = obs::parse_json(a.hints.to_json());
   ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();
-  EXPECT_EQ(doc.value().at("epoch_base").as_int(), 1);
   EXPECT_GT(doc.value().at("phase_count").as_int(), 1);
   ASSERT_TRUE(doc.value().at("phases").is_array());
   bool saw_producer = false;
@@ -281,25 +295,25 @@ TEST(Hints, SidecarV2CarriesPhasedRanges) {
       const std::string& pattern = range.at("pattern").string;
       if (pattern == "producer_consumer") saw_producer = true;
       if (pattern == "read_mostly") saw_read_mostly = true;
-      EXPECT_GT(range.at("bytes").as_int(), 0);
     }
   }
   EXPECT_TRUE(saw_producer);
   EXPECT_TRUE(saw_read_mostly);
 }
 
-TEST(Hints, GeneratedProgramEmbedsSidecar) {
+TEST(Hints, GeneratedMainCallsLaunch) {
+  // Hints stop at codegen: with or without them, the generated main hands
+  // the user program to the one launch(fn) entry point.
   TranslateOptions options;
   const std::string with =
       translate_source(kFlipProgram, options).value_or_die();
-  EXPECT_NE(with.find("__parade_hints_json"), std::string::npos);
-  EXPECT_NE(with.find("parade::xlat::launch(__parade_hints_json"),
-            std::string::npos);
+  EXPECT_NE(with.find("return parade::xlat::launch([&]"), std::string::npos);
 
   options.protocol_hints = false;
   const std::string without =
       translate_source(kFlipProgram, options).value_or_die();
-  EXPECT_EQ(without.find("__parade_hints_json"), std::string::npos);
+  EXPECT_NE(without.find("return parade::xlat::launch([&]"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,7 +332,7 @@ std::string run_omcc(const std::string& args, int* exit_code) {
   return output;
 }
 
-TEST(OmccCli, HintsJsonEmitsParsableSidecar) {
+TEST(OmccCli, HintsJsonEmitsParsableReport) {
   int exit_code = -1;
   const std::string output = run_omcc(
       std::string(PARADE_SOURCE_DIR) +
@@ -327,12 +341,12 @@ TEST(OmccCli, HintsJsonEmitsParsableSidecar) {
   EXPECT_EQ(exit_code, 0) << output;
   auto doc = obs::parse_json(output);
   ASSERT_TRUE(doc.is_ok()) << output;
-  EXPECT_EQ(doc.value().at("version").as_int(), 2);
-  bool found_dsm_symbol = false;
-  for (const auto& symbol : doc.value().at("symbols").array) {
-    if (symbol.at("dsm").boolean) found_dsm_symbol = true;
+  EXPECT_EQ(doc.value().at("version").as_int(), 3);
+  const auto& symbols = doc.value().at("symbols").array;
+  EXPECT_FALSE(symbols.empty()) << output;
+  for (const auto& symbol : symbols) {
+    EXPECT_TRUE(symbol.has("prefer_update")) << output;
   }
-  EXPECT_TRUE(found_dsm_symbol) << output;
 }
 
 TEST(OmccCli, HintsJsonAndAnalyzeAreMutuallyExclusive) {

@@ -2,9 +2,9 @@
 // "Region-sequence graph"): phase/step decomposition of the program into
 // barrier-delimited intervals, the May-Happen-in-Parallel rules, the
 // per-phase sharing-pattern classification (read-mostly / producer-consumer
-// / migratory / ping-pong), the phase-aware hint lowering with its
-// single-phase degeneracy property, the three cross-region diagnostics in
-// both golden directions, and the static message-cost report shape.
+// / migratory / ping-pong) with its single-phase degeneracy property, the
+// cross-region diagnostics in both golden directions, and the static
+// message-cost report shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,13 +73,10 @@ const char* kTwoPhaseProgram =
 // ---------------------------------------------------------------------------
 // Region-sequence graph shape
 
-TEST(RegionSeq, PhasesSplitAtBarriersAndEpochBaseTracksSharedInit) {
+TEST(RegionSeq, PhasesSplitAtBarriersInProgramOrder) {
   const Analyzed p = analyze_program(kTwoPhaseProgram);
   const RegionSequence seq = build_region_sequence(p.unit, p.analysis);
 
-  // DSM arrays exist, so codegen emits the shared-init barrier: the first
-  // phase the translator sees runs during DSM epoch 1.
-  EXPECT_EQ(seq.epoch_base, 1);
   EXPECT_TRUE(seq.phases_static);
   EXPECT_GE(seq.phase_count, 2);
 
@@ -173,13 +170,12 @@ TEST(Mhp, MasterAndSameSingleInstanceSerialize) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharing-pattern classification, lowered into the phases sidecar
+// Sharing-pattern classification, reported per phase in ProtocolHints
 
 TEST(Classify, ProducerConsumerAndReadMostlyAcrossPhases) {
   const Analyzed p = analyze_program(kTwoPhaseProgram);
   const ProtocolHints& hints = p.analysis.hints;
   ASSERT_FALSE(hints.phases.empty());
-  EXPECT_EQ(hints.epoch_base, 1);
 
   const RegionSequence seq = build_region_sequence(p.unit, p.analysis);
   int u_write_phase = -1;
@@ -253,13 +249,12 @@ TEST(Classify, SoleWriterAcrossMultiplePhasesIsMigratory) {
 }
 
 // ---------------------------------------------------------------------------
-// Degeneracy property: a single-phase program's phase hints equal the
-// whole-program symbol hints (flags are computed by the same formulas over
-// the same counts when all accesses share one phase).
+// Degeneracy property: a single-phase program yields exactly one phase
+// record, and every symbol it classifies also has a whole-program hint.
 
 TEST(Degeneracy, SinglePhaseHintsMatchWholeProgramHints) {
   const char* const programs[] = {
-      // Read-dominated small array: prefer_update stays set.
+      // A small read-only array beside a written one.
       "double small[16];\n"
       "double out[1024];\n"
       "int main(void) {\n"
@@ -283,11 +278,7 @@ TEST(Degeneracy, SinglePhaseHintsMatchWholeProgramHints) {
     // All accesses sit in the first phase: exactly one phase record.
     ASSERT_EQ(hints.phases.size(), 1u) << source;
     for (const PhaseRange& r : hints.phases[0].ranges) {
-      const SymbolHint* h = hints.find(r.symbol);
-      ASSERT_NE(h, nullptr) << r.symbol;
-      EXPECT_EQ(r.prefer_update, h->prefer_update) << r.symbol;
-      EXPECT_EQ(r.migration_friendly, h->migration_friendly) << r.symbol;
-      EXPECT_EQ(r.offset, h->pool_offset) << r.symbol;
+      EXPECT_NE(hints.find(r.symbol), nullptr) << r.symbol;
     }
   }
 }
@@ -375,38 +366,6 @@ TEST(CrossRegion, ImpliedBarrierPublishesTheWrite) {
       "  return 0;\n"
       "}\n");
   EXPECT_EQ(find_diag(p.analysis, kDiagNowaitCrossRegionRead), nullptr);
-}
-
-TEST(CrossRegion, AllPingPongPhasesDemotePreferUpdate) {
-  const Analyzed p = analyze_program(
-      "double pair[32];\n"
-      "int main(void) {\n"
-      "  int i;\n"
-      "  #pragma omp parallel for\n"
-      "  for (i = 0; i < 1024; i++) {\n"
-      "    pair[0] = pair[1] + pair[2];\n"
-      "  }\n"
-      "  return 0;\n"
-      "}\n");
-  const Diagnostic* d = find_diag(p.analysis, kDiagHintPingpongDemotion);
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->severity, Severity::kNote);
-  EXPECT_EQ(d->var, "pair");
-  const SymbolHint* h = p.analysis.hints.find("pair");
-  ASSERT_NE(h, nullptr);
-  EXPECT_FALSE(h->prefer_update);
-  for (const PhaseHint& ph : p.analysis.hints.phases) {
-    for (const PhaseRange& r : ph.ranges) {
-      if (r.symbol == "pair") {
-        EXPECT_FALSE(r.prefer_update);
-      }
-    }
-  }
-}
-
-TEST(CrossRegion, PartitionedProducerIsNotDemoted) {
-  const Analyzed p = analyze_program(kTwoPhaseProgram);
-  EXPECT_EQ(find_diag(p.analysis, kDiagHintPingpongDemotion), nullptr);
 }
 
 // ---------------------------------------------------------------------------
